@@ -8,37 +8,29 @@ per degree (the data behind the C(k) curve).
 
 from pathlib import Path
 
-from herdpulse import (
-    build_graph,
-    ck_curve,
-    global_clustering,
-    load_corpus,
-    local_clustering,
-    mean_clustering,
-    triangle_count,
-)
+from herdpulse import build_graph, clustering_stats, load_corpus
 
 DATA = Path(__file__).parent / "data"
 
 corpus = load_corpus(DATA / "demo_tweets.jsonl", "demo").corpus
 graph = build_graph(corpus)
+# one counting pass yields every clustering number below
+stats = clustering_stats(graph)
 
 print(f"graph: {len(graph)} authors, {graph.edge_count()} interaction edges")
-print(f"triangles: {triangle_count(graph)}")
+print(f"triangles: {stats.triangles}, connected triples: {stats.triples}")
 
 # Local coefficient: the share of an author's neighbor pairs that interact
 # with each other. Degree < 2 scores 0 by convention.
 print("\nper-author local clustering:")
 for node in graph.nodes():
-    k = graph.degree(node)
-    c = local_clustering(graph, node)
-    print(f"  {node}  degree {k}  C = {c:.4f}")
+    print(f"  {node}  degree {stats.degree[node]}  C = {stats.local[node]:.4f}")
 
-print(f"\nmean clustering  : {mean_clustering(graph):.6f}")
-print(f"transitivity     : {global_clustering(graph):.6f}")
+print(f"\nmean clustering  : {stats.mean_clustering:.6f}")
+print(f"transitivity     : {stats.global_clustering:.6f}")
 
 # Highly connected hubs tending to lower C is the classic hierarchy signal;
 # with a corpus this small the curve is just a handful of points.
 print("\nmean clustering per degree:")
-for k, c in ck_curve(graph):
+for k, c in stats.ck_curve:
     print(f"  k = {k:>2}  mean C = {c:.4f}")

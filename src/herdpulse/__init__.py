@@ -54,14 +54,7 @@ from .graph import (
     ClusteringStats,
     SocialGraph,
     build_graph,
-    ck_curve,
     clustering_stats,
-    connected_triple_count,
-    global_clustering,
-    local_clustering,
-    local_clustering_all,
-    mean_clustering,
-    triangle_count,
     write_edgelist,
 )
 from .herd import (
@@ -73,7 +66,6 @@ from .herd import (
     HerdReport,
     PredictionError,
     PredictionReport,
-    assign_camp,
     assign_corpus,
     camp_hits,
     herd_report,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, load_config
 from .corpus import CorpusFormatError, LoadResult, filter_by_hashtag, load_corpus, merge_corpora
-from .pipeline import RunInfo, analyze_corpus, score_corpus, scores_csv, write_bundle
+from .pipeline import RunInfo, analyze_corpus, formatted_scores, score_corpus, scores_csv, write_bundle
 from .svgplot import render_scatter
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def cmd_score(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "scores.csv").write_text(scores_csv(scores), encoding="utf-8")
+    (out / "scores.csv").write_text(scores_csv(scores, formatted_scores(scores)), encoding="utf-8")
     _print_summary(summary)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, CampConfig
+from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, CampConfig, check_band_edges
 from .preprocess import (
     StemmerRules,
     load_default_negation_words,
@@ -85,7 +85,10 @@ def load_config(path: str | Path) -> RunConfig:
         edges = raw["band_edges"]
         if not isinstance(edges, list) or not all(isinstance(e, (int, float)) for e in edges):
             raise ConfigError("band_edges must be an array of numbers")
-        config.band_edges = tuple(float(e) for e in edges)
+        try:
+            config.band_edges = check_band_edges(edges)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     if "herd_threshold" in raw:
         if not isinstance(raw["herd_threshold"], (int, float)):

@@ -1,6 +1,6 @@
 """Offline tweet-corpus ingestion: load, validate, filter, re-serialize.
 
-A corpus file is UTF-8, one JSON object per line, with keys:
+A corpus file is UTF-8, one JSON object per LF-terminated line, with keys:
 ``tweet_id``, ``author_id``, ``text``, ``timestamp`` (ISO-8601 UTC),
 ``hashtags``, ``mentions``, ``retweet_of`` (string or null) and
 ``follower_count``. Unknown keys are ignored but counted.
@@ -8,6 +8,7 @@ A corpus file is UTF-8, one JSON object per line, with keys:
 
 from __future__ import annotations
 
+import codecs
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -162,43 +163,53 @@ def _parse_record(obj: dict) -> tuple[TweetRecord, int]:
 def load_corpus(path: str | Path, source_label: str) -> LoadResult:
     """Load a line-delimited corpus file, keeping every valid record in file order.
 
-    Invalid lines are collected as :class:`LineError` entries instead of being
-    silently dropped; a later duplicate of an already-seen tweet_id is invalid.
+    Lines end at LF only and are decoded one by one, so a raw U+2028 in a
+    text stays inside its line and bad UTF-8 spoils only its own line; a
+    leading BOM is ignored. Invalid lines are collected as :class:`LineError`
+    entries instead of being silently dropped; a later duplicate of an
+    already-seen tweet_id is invalid.
     Raises ``OSError`` if the file is unreadable and :class:`CorpusFormatError`
     when more than half of the non-empty lines fail validation (wrong-format
     guard).
     """
-    text = Path(path).read_text(encoding="utf-8")
-
     records: list[TweetRecord] = []
     invalid: list[LineError] = []
     unknown_keys = 0
     seen_ids: set[str] = set()
     non_empty = 0
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        non_empty += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            invalid.append(LineError(line_no, f"invalid JSON: {err.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            invalid.append(LineError(line_no, "record must be a JSON object"))
-            continue
-        try:
-            record, unknown = _parse_record(obj)
-        except ValueError as err:
-            invalid.append(LineError(line_no, str(err)))
-            continue
-        if record.tweet_id in seen_ids:
-            invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id}"))
-            continue
-        seen_ids.add(record.tweet_id)
-        unknown_keys += unknown
-        records.append(record)
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            if line_no == 1:
+                raw = raw.removeprefix(codecs.BOM_UTF8)
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                non_empty += 1
+                invalid.append(LineError(line_no, "invalid UTF-8"))
+                continue
+            if not line.strip():
+                continue
+            non_empty += 1
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                invalid.append(LineError(line_no, f"invalid JSON: {err.msg}"))
+                continue
+            if not isinstance(obj, dict):
+                invalid.append(LineError(line_no, "record must be a JSON object"))
+                continue
+            try:
+                record, unknown = _parse_record(obj)
+            except ValueError as err:
+                invalid.append(LineError(line_no, str(err)))
+                continue
+            if record.tweet_id in seen_ids:
+                invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id}"))
+                continue
+            seen_ids.add(record.tweet_id)
+            unknown_keys += unknown
+            records.append(record)
 
     if non_empty and len(invalid) / non_empty > MAX_INVALID_FRACTION:
         raise CorpusFormatError(

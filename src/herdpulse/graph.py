@@ -32,9 +32,6 @@ class SocialGraph:
         self._adj[a].add(b)
         self._adj[b].add(a)
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._adj
-
     def __len__(self) -> int:
         return len(self._adj)
 
@@ -49,12 +46,7 @@ class SocialGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         """Each undirected edge once, as (a, b) with a < b, sorted."""
-        out = []
-        for node, nbrs in self._adj.items():
-            for other in nbrs:
-                if node < other:
-                    out.append((node, other))
-        return sorted(out)
+        return sorted((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
@@ -62,11 +54,15 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class ClusteringStats:
+    """Every clustering measure of one graph, derived from one counting pass."""
+
     local: dict[str, float]
     mean_clustering: float
     global_clustering: float
     degree: dict[str, int]
     ck_curve: list[tuple[int, float]]
+    triangles: int
+    triples: int
 
 
 def build_graph(corpus: Corpus) -> SocialGraph:
@@ -88,78 +84,40 @@ def build_graph(corpus: Corpus) -> SocialGraph:
 def _neighbor_edge_count(graph: SocialGraph, node: str) -> int:
     """Number of edges among the neighbors of ``node`` (exact integer)."""
     nbrs = graph.neighbors(node)
-    total = 0
-    for u in nbrs:
-        total += len(graph.neighbors(u) & nbrs)
-    return total // 2
-
-
-def local_clustering(graph: SocialGraph, node: str) -> float:
-    """Fraction of a node's neighbor pairs that are connected; 0 below degree 2."""
-    if node not in graph:
-        raise KeyError(f"unknown node: {node!r}")
-    k = graph.degree(node)
-    if k < 2:
-        return 0.0
-    return 2.0 * _neighbor_edge_count(graph, node) / (k * (k - 1))
-
-
-def local_clustering_all(graph: SocialGraph) -> dict[str, float]:
-    return {node: local_clustering(graph, node) for node in graph.nodes()}
-
-
-def triangle_count(graph: SocialGraph) -> int:
-    """Exact triangle count via neighbor intersection, each edge scanned once."""
-    common_total = 0
-    for a, b in graph.edges():
-        common_total += len(graph.neighbors(a) & graph.neighbors(b))
-    # each triangle contributes one common neighbor per each of its 3 edges
-    return common_total // 3
-
-
-def connected_triple_count(graph: SocialGraph) -> int:
-    """Paths of length two centered at each node: sum of k*(k-1)/2."""
-    return sum(
-        graph.degree(node) * (graph.degree(node) - 1) // 2 for node in graph.nodes()
-    )
-
-
-def global_clustering(graph: SocialGraph) -> float:
-    """Closed connected triples over all connected triples (transitivity).
-
-    Each triangle closes three triples, so the numerator is 3 x triangles;
-    a graph without any connected triple scores 0.
-    """
-    triples = connected_triple_count(graph)
-    if triples == 0:
-        return 0.0
-    return 3.0 * triangle_count(graph) / triples
-
-
-def mean_clustering(graph: SocialGraph) -> float:
-    if len(graph) == 0:
-        raise ValueError("mean clustering of an empty graph is undefined")
-    local = local_clustering_all(graph)
-    return math.fsum(local.values()) / len(local)
-
-
-def ck_curve(graph: SocialGraph) -> list[tuple[int, float]]:
-    """Mean local clustering per degree, ascending degree; [] for empty graph."""
-    by_degree: dict[int, list[float]] = {}
-    for node in graph.nodes():
-        by_degree.setdefault(graph.degree(node), []).append(local_clustering(graph, node))
-    return [(k, math.fsum(vals) / len(vals)) for k, vals in sorted(by_degree.items())]
+    return sum(len(graph.neighbors(u) & nbrs) for u in nbrs) // 2
 
 
 def clustering_stats(graph: SocialGraph) -> ClusteringStats:
-    local = local_clustering_all(graph)
-    mean = math.fsum(local.values()) / len(local) if local else 0.0
+    """Every clustering measure from t_i, the edges among node i's neighbors.
+
+    One pass counts t_i per node. Local C_i = 2 t_i / (k (k - 1)), 0 below
+    degree 2; a triangle is counted at each of its 3 corners, so transitivity
+    = sum(t_i) / sum(k (k - 1) / 2), 0 without triples. Mean clustering and
+    C(k) (mean C_i per degree) are exact sums; an empty graph scores 0.
+    """
+    local: dict[str, float] = {}
+    degree: dict[str, int] = {}
+    by_degree: dict[int, list[float]] = {}
+    closed = 0
+    triples = 0
+    for node in graph.nodes():
+        k = graph.degree(node)
+        t = _neighbor_edge_count(graph, node)
+        c = 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
+        local[node] = c
+        degree[node] = k
+        by_degree.setdefault(k, []).append(c)
+        closed += t
+        triples += k * (k - 1) // 2
+    triangles = closed // 3
     return ClusteringStats(
         local=local,
-        mean_clustering=mean,
-        global_clustering=global_clustering(graph),
-        degree={node: graph.degree(node) for node in graph.nodes()},
-        ck_curve=ck_curve(graph),
+        mean_clustering=math.fsum(local.values()) / len(local) if local else 0.0,
+        global_clustering=3.0 * triangles / triples if triples else 0.0,
+        degree=degree,
+        ck_curve=[(k, math.fsum(vals) / len(vals)) for k, vals in sorted(by_degree.items())],
+        triangles=triangles,
+        triples=triples,
     )
 
 

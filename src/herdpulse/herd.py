@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, TweetRecord
-from .graph import SocialGraph, local_clustering
 from .preprocess import TokenDoc
 from .sentiment import NEGATIVE, POSITIVE, SentimentScore, truncate_percent
 
@@ -106,12 +105,14 @@ class PredictionReport:
 
 
 def profile_authors(
-    scores: list[SentimentScore], corpus: Corpus, graph: SocialGraph
+    scores: list[SentimentScore], corpus: Corpus, local: dict[str, float]
 ) -> list[AuthorProfile]:
     """One profile per author with at least one scored tweet, sorted by id.
 
-    Authors that never made it into the interaction graph get local
-    clustering 0 (same value an edgeless node would score).
+    ``local`` maps graph nodes to their local clustering
+    (``ClusteringStats.local``). Authors that never made it into the
+    interaction graph get local clustering 0 (same value an edgeless node
+    would score).
     """
     author_of = {record.tweet_id: record.author_id for record in corpus.records}
     grouped: dict[str, list[SentimentScore]] = {}
@@ -122,14 +123,13 @@ def profile_authors(
     profiles = []
     for author in sorted(grouped):
         own = grouped[author]
-        clustering = local_clustering(graph, author) if author in graph else 0.0
         profiles.append(
             AuthorProfile(
                 author_id=author,
                 mean_subjectivity=math.fsum(s.subjectivity for s in own) / len(own),
                 mean_polarity=math.fsum(s.polarity for s in own) / len(own),
                 tweet_count=len(own),
-                local_clustering=clustering,
+                local_clustering=local.get(author, 0.0),
             )
         )
     return profiles
@@ -141,6 +141,16 @@ def _band_index(value: float, edges: tuple[float, ...]) -> int:
         if edges[i] <= value < edges[i + 1]:
             return i
     return len(edges) - 2
+
+
+def check_band_edges(band_edges) -> tuple[float, ...]:
+    """Band edges as floats; raises ValueError unless they rise strictly from 0 to 1."""
+    edges = tuple(float(e) for e in band_edges)
+    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
+        raise ValueError("band edges must start at 0 and end at 1")
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("band edges must be strictly increasing")
+    return edges
 
 
 def herd_report(
@@ -156,11 +166,7 @@ def herd_report(
     """
     if not profiles:
         raise ValueError("no author profiles")
-    edges = tuple(float(e) for e in band_edges)
-    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
-        raise ValueError("band edges must start at 0 and end at 1")
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError("band edges must be strictly increasing")
+    edges = check_band_edges(band_edges)
 
     members: list[list[AuthorProfile]] = [[] for _ in range(len(edges) - 1)]
     for profile in profiles:
@@ -194,22 +200,14 @@ def camp_hits(doc: TokenDoc, record: TweetRecord, camps: CampConfig) -> dict[str
     return {camp_id: len(keywords & matchable) for camp_id, keywords in camps.camps.items()}
 
 
-def assign_camp(doc: TokenDoc, record: TweetRecord, camps: CampConfig) -> str | None:
-    """Camp with the most keyword hits; zero hits or a tie gives no assignment."""
-    hits = camp_hits(doc, record, camps)
-    best = max(hits.values())
-    if best == 0:
-        return None
-    leaders = [camp_id for camp_id, n in hits.items() if n == best]
-    if len(leaders) > 1:
-        return None
-    return leaders[0]
-
-
 def assign_corpus(
     docs: list[TokenDoc], records: list[TweetRecord], camps: CampConfig
 ) -> CampAssignments:
-    """Assign every tweet, keeping count of ties and unmatched tweets."""
+    """Assign every tweet to the camp with the most keyword hits.
+
+    Zero hits or a tie for the most hits leaves a tweet unassigned; ties are
+    also counted on their own.
+    """
     assignments = CampAssignments()
     for doc, record in zip(docs, records):
         hits = camp_hits(doc, record, camps)

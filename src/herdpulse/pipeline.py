@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig
 from .corpus import Corpus
-from .graph import SocialGraph, build_graph, clustering_stats
+from .graph import ClusteringStats, SocialGraph, build_graph, clustering_stats
 from .herd import (
     CampAssignments,
     HerdReport,
@@ -52,6 +52,7 @@ class AnalysisResult:
     scores: list[SentimentScore]
     summary: CorpusSummary
     graph: SocialGraph
+    stats: ClusteringStats
     profiles: list
     herd: HerdReport
     assignments: CampAssignments
@@ -74,7 +75,8 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     """
     docs, scores, summary = score_corpus(corpus, config)
     graph = build_graph(corpus)
-    profiles = profile_authors(scores, corpus, graph)
+    stats = clustering_stats(graph)
+    profiles = profile_authors(scores, corpus, stats.local)
     herd = herd_report(profiles, config.band_edges, config.herd_threshold)
 
     if config.camps is not None:
@@ -95,6 +97,7 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
         scores=scores,
         summary=summary,
         graph=graph,
+        stats=stats,
         profiles=profiles,
         herd=herd,
         assignments=assignments,
@@ -115,12 +118,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def scores_csv(scores: list[SentimentScore]) -> str:
-    rows = [
-        [s.tweet_id, fixed(s.polarity), fixed(s.subjectivity), s.label]
-        for s in scores
-    ]
-    return _csv_text(["tweet_id", "polarity", "subjectivity", "label"], rows)
+def formatted_scores(scores: list[SentimentScore]) -> list[tuple[str, str, str]]:
+    """(index, polarity, subjectivity) of each score, formatted once for every CSV."""
+    return [(str(i), fixed(s.polarity), fixed(s.subjectivity)) for i, s in enumerate(scores)]
+
+
+def scores_csv(scores: list[SentimentScore], rows: list[tuple[str, str, str]]) -> str:
+    return _csv_text(
+        ["tweet_id", "polarity", "subjectivity", "label"],
+        [[s.tweet_id, polarity, subjectivity, s.label] for s, (_, polarity, subjectivity) in zip(scores, rows)],
+    )
 
 
 def _herd_json(herd: HerdReport) -> str:
@@ -185,14 +192,15 @@ def _prediction_json(result: AnalysisResult, config: RunConfig) -> str:
 
 def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
     """Name -> content for every report file except the manifest."""
-    stats = clustering_stats(result.graph)
+    stats = result.stats
+    rows = formatted_scores(result.scores)
 
     degree_counts: dict[int, int] = {}
     for k in stats.degree.values():
         degree_counts[k] = degree_counts.get(k, 0) + 1
 
     files: dict[str, str] = {}
-    files["scores.csv"] = scores_csv(result.scores)
+    files["scores.csv"] = scores_csv(result.scores, rows)
     files["graph_summary.json"] = _json_text(
         {
             "nodes": len(result.graph),
@@ -210,19 +218,12 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
         [[str(k), fixed(c)] for k, c in stats.ck_curve],
     )
     files["subjectivity_series.csv"] = _csv_text(
-        ["index", "subjectivity"],
-        [[str(i), fixed(s.subjectivity)] for i, s in enumerate(result.scores)],
+        ["index", "subjectivity"], [[i, subjectivity] for i, _, subjectivity in rows]
     )
-    files["polarity_series.csv"] = _csv_text(
-        ["index", "polarity"],
-        [[str(i), fixed(s.polarity)] for i, s in enumerate(result.scores)],
-    )
+    files["polarity_series.csv"] = _csv_text(["index", "polarity"], [[i, polarity] for i, polarity, _ in rows])
     files["combined_series.csv"] = _csv_text(
         ["index", "subjectivity", "polarity"],
-        [
-            [str(i), fixed(s.subjectivity), fixed(s.polarity)]
-            for i, s in enumerate(result.scores)
-        ],
+        [[i, subjectivity, polarity] for i, polarity, subjectivity in rows],
     )
     files["herd_report.json"] = _herd_json(result.herd)
     files["prediction.json"] = _prediction_json(result, config)

@@ -65,3 +65,17 @@ def complete_graph(n: int) -> SocialGraph:
         for j in range(i + 1, n):
             graph.add_edge(f"v{i}", f"v{j}")
     return graph
+
+
+def preferential_attachment_graph(n: int, m: int, rng: random.Random) -> SocialGraph:
+    """Hub-heavy graph (Barabasi & Albert 1999): each new node links to up to
+    ``m`` earlier nodes, each picked with probability proportional to degree."""
+    graph = SocialGraph()
+    graph.add_edge("v0", "v1")
+    ends = ["v0", "v1"]  # every edge end once, so a uniform pick is degree-weighted
+    for i in range(2, n):
+        new = f"v{i}"
+        for target in sorted({rng.choice(ends) for _ in range(m)}):
+            graph.add_edge(new, target)
+            ends += [new, target]
+    return graph

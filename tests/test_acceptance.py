@@ -21,13 +21,11 @@ from herdpulse import (
     SentimentScore,
     TokenDoc,
     build_graph,
+    clustering_stats,
     default_config,
-    global_clustering,
     herd_report,
     load_default_stemmer_rules,
     load_default_stopwords,
-    local_clustering,
-    mean_clustering,
     normalize,
     predict,
     profile_authors,
@@ -72,26 +70,29 @@ def test_criterion_1_clustering_oracle_equivalence():
         n = rng.randint(2, 100)
         p = rng.uniform(0.05, 0.5)
         graph = random_graph(n, p, rng)
+        stats = clustering_stats(graph)
         for node in graph.nodes():
-            assert local_clustering(graph, node) == brute_force_local(graph, node)
+            assert stats.local[node] == brute_force_local(graph, node)
         if n <= 60:
-            assert abs(global_clustering(graph) - brute_force_global(graph)) <= 1e-12
+            assert abs(stats.global_clustering - brute_force_global(graph)) <= 1e-12
             global_checked += 1
         graphs_checked += 1
 
     # analytic anchors
     for n in (3, 4, 6):
-        kn = complete_graph(n)
-        assert all(local_clustering(kn, v) == 1.0 for v in kn.nodes())
-        assert global_clustering(kn) == 1.0
+        kn = clustering_stats(complete_graph(n))
+        assert all(c == 1.0 for c in kn.local.values())
+        assert kn.global_clustering == 1.0
     for n in (2, 15, 50):
-        tree = random_tree(n, rng)
-        assert all(local_clustering(tree, v) == 0.0 for v in tree.nodes())
-        assert global_clustering(tree) == 0.0
+        tree = clustering_stats(random_tree(n, rng))
+        assert all(c == 0.0 for c in tree.local.values())
+        assert tree.global_clustering == 0.0
     from .test_graph import K4_MINUS
 
-    assert global_clustering(K4_MINUS) == pytest.approx(0.75, abs=1e-12)
-    assert mean_clustering(K4_MINUS) == pytest.approx(5 / 6, abs=1e-12)
+    k4_minus = clustering_stats(K4_MINUS)
+    assert k4_minus.global_clustering == pytest.approx(0.75, abs=1e-12)
+    assert k4_minus.mean_clustering == pytest.approx(5 / 6, abs=1e-12)
+    assert (k4_minus.triangles, k4_minus.triples) == (2, 8)
 
     assert graphs_checked == 200
     print(
@@ -154,7 +155,7 @@ def test_criterion_4_herd_fixture():
     graph = build_graph(corpus)
     docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
     scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
-    profiles = profile_authors(scores, corpus, graph)
+    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0
     assert report.herd_flag is True
@@ -189,7 +190,7 @@ def test_criterion_5_prediction_consistency():
     graph = build_graph(corpus)
     docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
     doc_scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
-    herd = herd_report(profile_authors(doc_scores, corpus, graph))
+    herd = herd_report(profile_authors(doc_scores, corpus, clustering_stats(graph).local))
 
     scores, assignments = _camp_fixture(scale=1)
     report = predict(scores, assignments, herd)

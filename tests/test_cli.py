@@ -48,6 +48,25 @@ def test_validate_bad_line(tmp_path, capsys):
     assert ":3: duplicate tweet_id: t2" in out
 
 
+def test_validate_invalid_utf8_line(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    good = [record_line(tweet_id=f"t{i}").encode("utf-8") for i in (1, 2)]
+    path.write_bytes(b"\n".join([good[0], good[1], b"\xff\xfe"]) + b"\n")
+    assert main(["validate", "--corpus", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:3: invalid UTF-8" in out
+    assert "2 valid, 1 invalid" in out
+
+
+def test_analyze_bad_band_edges_is_config_failure(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"band_edges": [0, 1.5]}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: band edges must")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import codecs
 import json
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from herdpulse import (
     CorpusFormatError,
+    LineError,
+    TweetRecord,
     filter_by_hashtag,
     load_corpus,
     merge_corpora,
@@ -129,6 +135,68 @@ def test_round_trip_is_fixed_point(corpus_file, tmp_path):
     out2 = tmp_path / "resaved2.jsonl"
     save_corpus(second.corpus, out2)
     assert out2.read_bytes() == out.read_bytes()
+
+
+def test_invalid_utf8_line_is_a_line_error(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    good = [record_line(tweet_id=f"t{i}").encode("utf-8") for i in (1, 2)]
+    path.write_bytes(b"\n".join([good[0], b'{"text": "caf\xe9"}', good[1]]) + b"\n")
+    result = load_corpus(path, "demo")
+    assert [r.tweet_id for r in result.corpus] == ["t1", "t2"]
+    assert result.invalid == [LineError(2, "invalid UTF-8")]
+
+
+def test_leading_bom_is_stripped(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(codecs.BOM_UTF8 + record_line().encode("utf-8") + b"\n")
+    result = load_corpus(path, "demo")
+    assert [r.tweet_id for r in result.corpus] == ["t1"]
+    assert result.invalid == []
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_unicode_line_separator_in_text_keeps_line_whole(tmp_path, separator):
+    lines = [
+        json.dumps(json.loads(record_line(tweet_id="t1", text=f"a{separator}b")), ensure_ascii=False),
+        record_line(tweet_id="t2"),
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = load_corpus(path, "demo")
+    assert [r.text for r in result.corpus] == [f"a{separator}b", "hello"]
+    assert result.invalid == []
+
+
+FULL_UNICODE = st.text(st.characters(codec="utf-8"))
+NON_EMPTY = st.text(st.characters(codec="utf-8"), min_size=1)
+
+
+@st.composite
+def tweet_records(draw, tweet_id):
+    author = draw(NON_EMPTY)
+    stamp = draw(st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2099, 12, 31)))
+    return TweetRecord(
+        tweet_id=tweet_id,
+        author_id=author,
+        text=draw(FULL_UNICODE),
+        timestamp=stamp.replace(microsecond=0, tzinfo=timezone.utc),
+        hashtags=tuple(draw(st.lists(st.text("abcxyz", min_size=1), max_size=3))),
+        mentions=tuple(m for m in draw(st.lists(NON_EMPTY, max_size=3)) if m != author),
+        retweet_of=draw(st.none() | NON_EMPTY),
+        follower_count=draw(st.integers(min_value=0, max_value=10**9)),
+    )
+
+
+@given(st.lists(NON_EMPTY, max_size=5, unique=True).flatmap(
+    lambda ids: st.tuples(*(tweet_records(i) for i in ids))
+))
+def test_save_then_load_round_trips_full_unicode(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(make_corpus(records), path)
+        result = load_corpus(path, "test")
+    assert result.corpus.records == records
+    assert result.invalid == []
 
 
 def test_filter_by_hashtag_direct_membership():

@@ -4,24 +4,16 @@ import random
 
 import pytest
 
-from herdpulse import (
-    SocialGraph,
-    build_graph,
-    ck_curve,
-    connected_triple_count,
-    global_clustering,
-    local_clustering,
-    local_clustering_all,
-    mean_clustering,
-    triangle_count,
-    write_edgelist,
-)
+from herdpulse import SocialGraph, build_graph, clustering_stats, default_config, write_edgelist
+from herdpulse import graph as graph_module
+from herdpulse import pipeline
 
 from .conftest import make_corpus, make_record
 from .oracles import (
     brute_force_global,
     brute_force_local,
     complete_graph,
+    preferential_attachment_graph,
     random_graph,
     random_tree,
 )
@@ -72,60 +64,59 @@ def test_build_graph_undirected_dedup():
 
 
 def test_local_clustering_triangle():
-    assert all(local_clustering(TRIANGLE, v) == 1.0 for v in "abc")
+    assert all(clustering_stats(TRIANGLE).local[v] == 1.0 for v in "abc")
 
 
 def test_local_clustering_star_center():
-    assert local_clustering(STAR4, "hub") == 0.0
+    assert clustering_stats(STAR4).local["hub"] == 0.0
 
 
 def test_local_clustering_k4_minus_edge():
-    assert local_clustering(K4_MINUS, "a") == pytest.approx(2 / 3)
-    assert local_clustering(K4_MINUS, "b") == pytest.approx(2 / 3)
-    assert local_clustering(K4_MINUS, "c") == 1.0
-    assert local_clustering(K4_MINUS, "d") == 1.0
+    local = clustering_stats(K4_MINUS).local
+    assert local["a"] == pytest.approx(2 / 3)
+    assert local["b"] == pytest.approx(2 / 3)
+    assert local["c"] == 1.0
+    assert local["d"] == 1.0
 
 
 def test_local_clustering_degenerate_degrees():
     graph = graph_from_edges([("a", "b")], isolated=["lone"])
-    assert local_clustering(graph, "lone") == 0.0
-    assert local_clustering(graph, "a") == 0.0
-
-
-def test_local_clustering_unknown_node():
-    with pytest.raises(KeyError):
-        local_clustering(TRIANGLE, "nope")
+    local = clustering_stats(graph).local
+    assert local["lone"] == 0.0
+    assert local["a"] == 0.0
 
 
 def test_global_clustering_anchors():
-    assert global_clustering(TRIANGLE) == 1.0
-    assert global_clustering(PATH3) == 0.0
-    assert global_clustering(K4_MINUS) == pytest.approx(0.75)
+    assert clustering_stats(TRIANGLE).global_clustering == 1.0
+    assert clustering_stats(PATH3).global_clustering == 0.0
+    assert clustering_stats(K4_MINUS).global_clustering == pytest.approx(0.75)
 
 
 def test_triple_and_triangle_counts():
-    assert triangle_count(K4_MINUS) == 2
-    assert connected_triple_count(K4_MINUS) == 8
-    assert triangle_count(PATH3) == 0
-    assert connected_triple_count(PATH3) == 1
+    k4_minus = clustering_stats(K4_MINUS)
+    assert (k4_minus.triangles, k4_minus.triples) == (2, 8)
+    path3 = clustering_stats(PATH3)
+    assert (path3.triangles, path3.triples) == (0, 1)
 
 
 def test_mean_clustering_anchors():
-    assert mean_clustering(TRIANGLE) == 1.0
-    assert mean_clustering(PATH3) == 0.0
-    assert mean_clustering(K4_MINUS) == pytest.approx(5 / 6)
+    assert clustering_stats(TRIANGLE).mean_clustering == 1.0
+    assert clustering_stats(PATH3).mean_clustering == 0.0
+    assert clustering_stats(K4_MINUS).mean_clustering == pytest.approx(5 / 6)
 
 
-def test_mean_clustering_empty_graph_errors():
-    with pytest.raises(ValueError):
-        mean_clustering(SocialGraph())
+def test_empty_graph_scores_zero():
+    stats = clustering_stats(SocialGraph())
+    assert stats.mean_clustering == 0.0
+    assert stats.global_clustering == 0.0
+    assert stats.ck_curve == []
+    assert (stats.local, stats.degree, stats.triangles, stats.triples) == ({}, {}, 0, 0)
 
 
 def test_ck_curve_examples():
-    assert ck_curve(TRIANGLE) == [(2, 1.0)]
-    assert ck_curve(STAR4) == [(1, 0.0), (3, 0.0)]
-    assert ck_curve(K4_MINUS) == [(2, 1.0), (3, pytest.approx(2 / 3))]
-    assert ck_curve(SocialGraph()) == []
+    assert clustering_stats(TRIANGLE).ck_curve == [(2, 1.0)]
+    assert clustering_stats(STAR4).ck_curve == [(1, 0.0), (3, 0.0)]
+    assert clustering_stats(K4_MINUS).ck_curve == [(2, 1.0), (3, pytest.approx(2 / 3))]
 
 
 def test_local_matches_brute_force_on_random_graphs():
@@ -133,8 +124,9 @@ def test_local_matches_brute_force_on_random_graphs():
     for _ in range(30):
         n = rng.randint(2, 40)
         graph = random_graph(n, rng.uniform(0.05, 0.5), rng)
+        local = clustering_stats(graph).local
         for node in graph.nodes():
-            assert local_clustering(graph, node) == brute_force_local(graph, node)
+            assert local[node] == brute_force_local(graph, node)
 
 
 def test_global_matches_brute_force_on_random_graphs():
@@ -142,19 +134,29 @@ def test_global_matches_brute_force_on_random_graphs():
     for _ in range(20):
         n = rng.randint(3, 30)
         graph = random_graph(n, rng.uniform(0.05, 0.5), rng)
-        assert abs(global_clustering(graph) - brute_force_global(graph)) <= 1e-12
+        assert abs(clustering_stats(graph).global_clustering - brute_force_global(graph)) <= 1e-12
+
+
+def test_hub_heavy_graphs_match_brute_force():
+    rng = random.Random(3533)
+    for _ in range(15):
+        graph = preferential_attachment_graph(rng.randint(4, 45), rng.randint(1, 4), rng)
+        stats = clustering_stats(graph)
+        for node in graph.nodes():
+            assert stats.local[node] == brute_force_local(graph, node)
+        assert abs(stats.global_clustering - brute_force_global(graph)) <= 1e-12
 
 
 def test_complete_graphs_and_trees():
     for n in (3, 5, 8):
-        graph = complete_graph(n)
-        assert all(c == 1.0 for c in local_clustering_all(graph).values())
-        assert global_clustering(graph) == 1.0
+        stats = clustering_stats(complete_graph(n))
+        assert all(c == 1.0 for c in stats.local.values())
+        assert stats.global_clustering == 1.0
     rng = random.Random(7)
     for n in (2, 10, 40):
-        tree = random_tree(n, rng)
-        assert all(c == 0.0 for c in local_clustering_all(tree).values())
-        assert global_clustering(tree) == 0.0
+        stats = clustering_stats(random_tree(n, rng))
+        assert all(c == 0.0 for c in stats.local.values())
+        assert stats.global_clustering == 0.0
 
 
 def test_adding_neighbor_edge_strictly_increases_local():
@@ -172,9 +174,9 @@ def test_adding_neighbor_edge_strictly_increases_local():
             ]
             if not pairs:
                 continue
-            before = local_clustering(graph, v)
+            before = clustering_stats(graph).local[v]
             graph.add_edge(*pairs[0])
-            after = local_clustering(graph, v)
+            after = clustering_stats(graph).local[v]
             assert after > before
             checked += 1
             break
@@ -193,11 +195,11 @@ def test_relabeling_invariance():
     for a, b in graph.edges():
         relabeled.add_edge(mapping[a], mapping[b])
 
-    assert global_clustering(relabeled) == global_clustering(graph)
-    assert mean_clustering(relabeled) == pytest.approx(mean_clustering(graph))
-    original = local_clustering_all(graph)
-    renamed = local_clustering_all(relabeled)
-    assert all(renamed[mapping[v]] == original[v] for v in nodes)
+    original = clustering_stats(graph)
+    renamed = clustering_stats(relabeled)
+    assert renamed.global_clustering == original.global_clustering
+    assert renamed.mean_clustering == pytest.approx(original.mean_clustering)
+    assert all(renamed.local[mapping[v]] == original.local[v] for v in nodes)
 
 
 def test_write_edgelist_sorted_pairs(tmp_path):
@@ -207,3 +209,31 @@ def test_write_edgelist_sorted_pairs(tmp_path):
     assert lines == ["a\tb", "a\tc", "a\td", "b\tc", "b\td"]
     write_edgelist(SocialGraph(), path)
     assert path.read_text(encoding="utf-8") == ""
+
+
+def test_one_analysis_counts_clustering_once(monkeypatch):
+    calls = {"stats": 0, "nodes": 0}
+    real_stats = pipeline.clustering_stats
+    real_count = graph_module._neighbor_edge_count
+
+    def counting_stats(graph):
+        calls["stats"] += 1
+        return real_stats(graph)
+
+    def counting_count(graph, node):
+        calls["nodes"] += 1
+        return real_count(graph, node)
+
+    monkeypatch.setattr(pipeline, "clustering_stats", counting_stats)
+    monkeypatch.setattr(graph_module, "_neighbor_edge_count", counting_count)
+    corpus = make_corpus(
+        [
+            make_record(tweet_id="t1", author_id="a", mentions=["b", "c"]),
+            make_record(tweet_id="t2", author_id="b", mentions=["c"], retweet_of="d"),
+            make_record(tweet_id="t3", author_id="e"),
+        ]
+    )
+    config = default_config()
+    result = pipeline.analyze_corpus(corpus, config)
+    pipeline.bundle_files(result, config)
+    assert calls == {"stats": 1, "nodes": len(result.graph)}

@@ -13,9 +13,9 @@ from herdpulse import (
     PredictionError,
     SentimentScore,
     TokenDoc,
-    assign_camp,
     assign_corpus,
     build_graph,
+    clustering_stats,
     default_config,
     herd_report,
     predict,
@@ -69,7 +69,7 @@ def test_profile_authors_means():
         score("t2", polarity=0.4, subjectivity=0.8),
         score("t3", polarity=-0.5, subjectivity=0.3),
     ]
-    profiles = profile_authors(scores, corpus, graph)
+    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
     assert [p.author_id for p in profiles] == ["a", "b"]
     a, b = profiles
     assert a.mean_subjectivity == pytest.approx(0.6)
@@ -82,7 +82,7 @@ def test_profile_authors_means():
 def test_profile_author_without_edges_gets_zero_clustering():
     corpus = make_corpus([make_record(tweet_id="t1", author_id="a")])
     graph = build_graph(corpus)
-    profiles = profile_authors([score("t1")], corpus, graph)
+    profiles = profile_authors([score("t1")], corpus, clustering_stats(graph).local)
     assert profiles[0].local_clustering == 0.0
 
 
@@ -122,6 +122,8 @@ def test_herd_report_band_edges_validation():
     with pytest.raises(ValueError):
         herd_report(profiles, band_edges=(0.1, 0.5, 1.0))
     with pytest.raises(ValueError):
+        herd_report(profiles, band_edges=(0.0, float("nan"), 1.0))
+    with pytest.raises(ValueError):
         herd_report([], band_edges=(0.0, 1.0))
 
 
@@ -137,15 +139,20 @@ def test_herd_report_band_membership_boundaries():
     assert [band.count for band in report.bands] == [1, 1, 2]
 
 
+def assign_one(tokens, hashtags=()):
+    """The camp a one-tweet corpus assigns its tweet, or None."""
+    assignments = assign_corpus([doc("t1", tokens)], [make_record(hashtags=hashtags)], XY)
+    return assignments.by_tweet.get("t1")
+
+
 def test_assign_camp_examples():
-    assert assign_camp(doc("t1", ["vote", "partyx"]), make_record(), XY) == "X"
-    assert assign_camp(doc("t2", ["vote"]), make_record(), XY) is None
-    assert assign_camp(doc("t3", ["partyx", "partyy"]), make_record(), XY) is None
+    assert assign_one(["vote", "partyx"]) == "X"
+    assert assign_one(["vote"]) is None
+    assert assign_one(["partyx", "partyy"]) is None
 
 
 def test_assign_camp_uses_hashtags():
-    record = make_record(hashtags=["partyy"])
-    assert assign_camp(doc("t1", ["vote"]), record, XY) == "Y"
+    assert assign_one(["vote"], hashtags=["partyy"]) == "Y"
 
 
 def test_assign_corpus_counts_ties():
@@ -283,7 +290,7 @@ def test_clique_vs_star_fixture_flags_herding():
     graph = build_graph(corpus)
     docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
     scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
-    profiles = profile_authors(scores, corpus, graph)
+    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0
     assert report.herd_flag is True
