@@ -22,15 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, CampConfig, check_band_edges
-from .preprocess import (
-    StemmerRules,
-    load_default_negation_words,
-    load_default_stemmer_rules,
-    load_default_stopwords,
-    load_stemmer_rules,
-    load_wordlist,
-)
-from .sentiment import Lexicon, load_default_lexicon, load_lexicon
+from .preprocess import StemmerRules, default_data_path, load_stemmer_rules, load_wordlist
+from .sentiment import Lexicon, load_lexicon
 
 
 class ConfigError(ValueError):
@@ -49,17 +42,17 @@ class RunConfig:
     reference_shares: dict[str, str]
 
 
+# config key -> (RunConfig field, loader, packaged default file)
+_DATA_FILES = {
+    "stopwords_path": ("stopwords", load_wordlist, "stopwords.txt"),
+    "stemmer_rules_path": ("stemmer_rules", load_stemmer_rules, "stemmer_rules.tsv"),
+    "negation_words_path": ("negation_words", load_wordlist, "negation_words.txt"),
+    "lexicon_path": ("lexicon", load_lexicon, "lexicon.tsv"),
+}
+
+
 def default_config() -> RunConfig:
-    return RunConfig(
-        band_edges=DEFAULT_BAND_EDGES,
-        herd_threshold=DEFAULT_HERD_THRESHOLD,
-        camps=None,
-        stopwords=load_default_stopwords(),
-        stemmer_rules=load_default_stemmer_rules(),
-        negation_words=load_default_negation_words(),
-        lexicon=load_default_lexicon(),
-        reference_shares={},
-    )
+    return _build_config({}, Path())
 
 
 def _resolve(base: Path, value) -> Path:
@@ -73,27 +66,37 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err.msg})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    base = path.parent
+    return _build_config(raw, path.parent)
 
-    config = default_config()
+
+def _build_config(raw: dict, base: Path) -> RunConfig:
+    """RunConfig from a parsed config object; each absent key takes its default."""
+    config: dict = {
+        "band_edges": DEFAULT_BAND_EDGES,
+        "herd_threshold": DEFAULT_HERD_THRESHOLD,
+        "camps": None,
+        "reference_shares": {},
+    }
 
     if "band_edges" in raw:
         edges = raw["band_edges"]
         if not isinstance(edges, list) or not all(isinstance(e, (int, float)) for e in edges):
             raise ConfigError("band_edges must be an array of numbers")
         try:
-            config.band_edges = check_band_edges(edges)
+            config["band_edges"] = check_band_edges(edges)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
     if "herd_threshold" in raw:
         if not isinstance(raw["herd_threshold"], (int, float)):
             raise ConfigError("herd_threshold must be a number")
-        config.herd_threshold = float(raw["herd_threshold"])
+        config["herd_threshold"] = float(raw["herd_threshold"])
 
     if "camps" in raw and raw["camps"] is not None:
         camps_raw = raw["camps"]
@@ -105,28 +108,25 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"camp {camp_id!r}: keywords must be an array of strings")
             camps[str(camp_id)] = frozenset(keywords)
         try:
-            config.camps = CampConfig(camps=camps)
+            config["camps"] = CampConfig(camps=camps)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
-    try:
-        if "stopwords_path" in raw:
-            config.stopwords = load_wordlist(_resolve(base, raw["stopwords_path"]))
-        if "stemmer_rules_path" in raw:
-            config.stemmer_rules = load_stemmer_rules(_resolve(base, raw["stemmer_rules_path"]))
-        if "negation_words_path" in raw:
-            config.negation_words = load_wordlist(_resolve(base, raw["negation_words_path"]))
-        if "lexicon_path" in raw:
-            config.lexicon = load_lexicon(_resolve(base, raw["lexicon_path"]))
-    except OSError as err:
-        raise ConfigError(f"cannot read data file: {err}") from None
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    for key, (field, loader, packaged) in _DATA_FILES.items():
+        file = _resolve(base, raw[key]) if key in raw else default_data_path(packaged)
+        try:
+            config[field] = loader(file)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{file}: not valid UTF-8") from None
+        except OSError as err:
+            raise ConfigError(f"cannot read data file: {err}") from None
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     if "reference_shares" in raw and raw["reference_shares"] is not None:
         shares = raw["reference_shares"]
         if not isinstance(shares, dict):
             raise ConfigError("reference_shares must be an object")
-        config.reference_shares = {str(k): str(v) for k, v in shares.items()}
+        config["reference_shares"] = {str(k): str(v) for k, v in shares.items()}
 
-    return config
+    return RunConfig(**config)

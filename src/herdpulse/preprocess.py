@@ -44,14 +44,14 @@ def normalize(text: str) -> str:
     characters becomes a single space. Iterates the cleaning pass to a fixed
     point, which makes ``normalize(normalize(x)) == normalize(x)`` hold by
     construction (a pass can expose a new URL-shaped substring, e.g.
-    "htt#p" collapses to "http" only after the '#' strip).
+    "htt#p" collapses to "http" only after the '#' strip). A pass outputs
+    single-spaced ``[a-z]``, which a further pass changes only by removing
+    "http", so the loop repeats only while that is present.
     """
-    current = text
-    while True:
-        cleaned = _normalize_pass(current)
-        if cleaned == current:
-            return cleaned
-        current = cleaned
+    cleaned = _normalize_pass(text)
+    while "http" in cleaned:
+        cleaned = _normalize_pass(cleaned)
+    return cleaned
 
 
 def tokenize(text: str) -> list[str]:
@@ -76,10 +76,13 @@ class StemmerRules:
     Each pass applies at most one rule; passes repeat until the token stops
     changing. A rule whose replacement equals its suffix therefore acts as a
     stop marker (e.g. ``ss -> ss`` protects "class" from the plural rule).
+    Stems are cached per instance, so each distinct token is stemmed once;
+    the cache grows with the vocabulary.
     """
 
     def __init__(self, rules: list[StemRule]):
-        for rule in rules:
+        self._by_suffix: dict[str, list[int]] = {}  # suffix -> rule indices in table order
+        for index, rule in enumerate(rules):
             if not rule.suffix:
                 raise ValueError("stemmer rule with empty suffix")
             if rule.replacement and not (
@@ -90,25 +93,31 @@ class StemmerRules:
                 )
             if rule.min_stem_length < 0:
                 raise ValueError("min_stem_length must be >= 0")
+            self._by_suffix.setdefault(rule.suffix, []).append(index)
         self.rules = tuple(rules)
+        self._suffix_lengths = sorted({len(suffix) for suffix in self._by_suffix})
+        self._stems: dict[str, str] = {}
 
     def stem(self, token: str) -> str:
-        current = token
-        while True:
-            stemmed = self._apply_once(current)
-            if stemmed == current:
-                return stemmed
-            current = stemmed
+        stemmed = self._stems.get(token)
+        if stemmed is None:
+            current = token
+            while (stemmed := self._apply_once(current)) != current:
+                current = stemmed
+            self._stems[token] = stemmed
+        return stemmed
 
     def _apply_once(self, token: str) -> str:
-        for rule in self.rules:
-            if not token.endswith(rule.suffix):
-                continue
-            stem_len = len(token) - len(rule.suffix)
-            if stem_len < rule.min_stem_length:
-                continue
-            return token[:stem_len] + rule.replacement
-        return token
+        first = len(self.rules)  # index of the first matching rule in table order
+        for length in self._suffix_lengths:
+            for index in self._by_suffix.get(token[-length:], ()):
+                if len(token) - length >= self.rules[index].min_stem_length:
+                    first = min(first, index)
+                    break
+        if first == len(self.rules):
+            return token
+        rule = self.rules[first]
+        return token[: len(token) - len(rule.suffix)] + rule.replacement
 
 
 def load_stemmer_rules(path: str | Path) -> StemmerRules:
@@ -160,9 +169,8 @@ def load_default_negation_words() -> frozenset[str]:
 def preprocess_text(
     text: str, stoplist: frozenset[str] | set[str], rules: StemmerRules
 ) -> list[str]:
-    tokens = remove_stopwords(tokenize(normalize(text)), stoplist)
-    stemmed = [rules.stem(token) for token in tokens]
-    return [token for token in stemmed if token]
+    stem = rules.stem  # normalized text is single-spaced: split() is tokenize()
+    return [out for token in normalize(text).split() if token not in stoplist and (out := stem(token))]
 
 
 def preprocess(record, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> TokenDoc:

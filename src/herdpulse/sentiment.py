@@ -129,9 +129,10 @@ def score_tokens(
     polarities: list[float] = []
     subjectivities: list[float] = []
     previous: str | None = None
+    entries = lexicon.entries
     for token in doc.tokens:
-        if token in lexicon:
-            entry = lexicon[token]
+        entry = entries.get(token)
+        if entry is not None:
             effective = entry.polarity
             if previous is not None and previous in negation_words:
                 effective = NEGATION_FLIP * entry.polarity

@@ -1,7 +1,9 @@
-"""Independent brute-force references for the clustering measures.
+"""Independent brute-force references for the clustering measures and text.
 
 These deliberately enumerate pairs/triples the slow way and never call the
-library's counting helpers, so they stay a genuinely independent check.
+library's counting helpers, so they stay a genuinely independent check. The
+text references are the plain loops the library's stemmer and ``normalize``
+shortcut: no memo, no suffix index, no early stop.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import random
 from itertools import combinations
 
 from herdpulse import SocialGraph
+from herdpulse.preprocess import _normalize_pass
 
 
 def brute_force_local(graph: SocialGraph, node: str) -> float:
@@ -79,3 +82,26 @@ def preferential_attachment_graph(n: int, m: int, rng: random.Random) -> SocialG
             graph.add_edge(new, target)
             ends += [new, target]
     return graph
+
+
+def reference_stem(token: str, table: list[tuple[str, str, int]]) -> str:
+    """First-match-wins suffix stripping over ``(suffix, replacement, min_len)``
+    rows, one rule per pass, passes repeated until the token stops changing."""
+    while True:
+        stemmed = token
+        for suffix, replacement, min_len in table:
+            if token.endswith(suffix) and len(token) - len(suffix) >= min_len:
+                stemmed = token[: len(token) - len(suffix)] + replacement
+                break
+        if stemmed == token:
+            return token
+        token = stemmed
+
+
+def reference_normalize(text: str) -> str:
+    """Repeat the cleaning pass until it no longer changes the text."""
+    while True:
+        cleaned = _normalize_pass(text)
+        if cleaned == text:
+            return cleaned
+        text = cleaned

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from herdpulse.cli import main
 
 from .conftest import record_line
@@ -65,6 +67,25 @@ def test_analyze_bad_band_edges_is_config_failure(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: band edges must")
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_config_not_utf8_is_config_failure(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"herd_threshold": 0}\xff\n')
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config}: not valid UTF-8\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["stopwords_path", "stemmer_rules_path", "negation_words_path", "lexicon_path"])
+def test_analyze_data_file_not_utf8_names_the_file(tmp_path, capsys, key):
+    (tmp_path / "data.txt").write_bytes(b"good\n\xff\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: "data.txt"}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'data.txt'}: not valid UTF-8\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):

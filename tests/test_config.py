@@ -1,0 +1,36 @@
+from __future__ import annotations
+
+import importlib
+import json
+import shutil
+
+from herdpulse import default_config, load_config
+from herdpulse.preprocess import default_data_path
+
+CONFIG_MODULE = importlib.import_module("herdpulse.config")
+
+DATA_KEYS = {
+    "stopwords_path": "stopwords.txt",
+    "stemmer_rules_path": "stemmer_rules.tsv",
+    "negation_words_path": "negation_words.txt",
+    "lexicon_path": "lexicon.tsv",
+}
+
+
+def test_overridden_data_files_skip_packaged_defaults(tmp_path, monkeypatch):
+    for name in DATA_KEYS.values():
+        shutil.copy(default_data_path(name), tmp_path / name)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(DATA_KEYS), encoding="utf-8")
+
+    def packaged(name):
+        raise AssertionError(f"packaged {name} parsed although the config overrides it")
+
+    monkeypatch.setattr(CONFIG_MODULE, "default_data_path", packaged)
+    config = load_config(path)
+    monkeypatch.undo()
+    expected = default_config()
+    assert config.stopwords == expected.stopwords
+    assert config.stemmer_rules.rules == expected.stemmer_rules.rules
+    assert config.negation_words == expected.negation_words
+    assert config.lexicon.entries == expected.lexicon.entries

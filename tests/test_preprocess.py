@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from herdpulse import (
+    StemmerRules,
     load_default_stemmer_rules,
     load_default_stopwords,
     load_stemmer_rules,
@@ -13,11 +16,16 @@ from herdpulse import (
     remove_stopwords,
     tokenize,
 )
+from herdpulse.preprocess import StemRule
 
 from .conftest import make_record
+from .oracles import reference_normalize, reference_stem
 
 RULES = load_default_stemmer_rules()
 STOPWORDS = load_default_stopwords()
+SHIPPED_TABLE = [(r.suffix, r.replacement, r.min_stem_length) for r in RULES.rules]
+# the module, not the ``preprocess`` function the package exports under that name
+PREPROCESS_MODULE = importlib.import_module("herdpulse.preprocess")
 
 
 def test_normalize_kitchen_sink():
@@ -166,3 +174,79 @@ def test_token_count_bounded_by_fragments(text):
     assert len(doc.tokens) <= len(tokenize(normalize(text)))
     assert all(token and token.isalpha() and token == token.lower() for token in doc.tokens)
     assert all(token not in STOPWORDS for token in doc.tokens)
+
+
+def suffix_shaped(alphabet: str, suffixes: list[str]):
+    """A short head followed by up to three suffixes from a rule table."""
+    return st.builds(
+        lambda head, ends: head + "".join(ends),
+        st.text(alphabet=alphabet, max_size=5),
+        st.lists(st.sampled_from(suffixes), max_size=3),
+    )
+
+
+@st.composite
+def small_tables(draw):
+    """Rule tables over a 3-letter alphabet, so suffixes overlap. Each
+    replacement is its suffix (a stop marker) or shorter than it, so every
+    rewrite shortens the token and the fixed point exists."""
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        suffix = draw(st.text(alphabet="abs", min_size=1, max_size=3))
+        replacement = draw(st.just(suffix) | st.text(alphabet="abs", max_size=len(suffix) - 1))
+        table.append((suffix, replacement, draw(st.integers(0, 3))))
+    return table
+
+
+@given(st.lists(suffix_shaped("abcdegilnprsty", [row[0] for row in SHIPPED_TABLE]), max_size=10))
+def test_stem_matches_oracle_on_shipped_table(tokens):
+    for token in tokens + tokens:  # the second round is answered from the cache
+        assert RULES.stem(token) == reference_stem(token, SHIPPED_TABLE)
+
+
+@given(small_tables(), small_tables(), st.data())
+def test_stem_matches_oracle_on_random_tables(first, second, data):
+    tables = [first, second]
+    stemmers = [StemmerRules([StemRule(*row) for row in table]) for table in tables]
+    suffixes = [row[0] for row in first + second]
+    tokens = data.draw(st.lists(suffix_shaped("abs", suffixes), max_size=8))
+    # interleaved, so a stem cached by one table would show up in the other
+    for token in tokens + tokens:
+        for stemmer, table in zip(stemmers, tables):
+            assert stemmer.stem(token) == reference_stem(token, table)
+
+
+def test_stem_caches_are_per_instance():
+    strip = StemmerRules([StemRule("s", "", 1)])
+    keep = StemmerRules([StemRule("s", "s", 1)])
+    assert strip.stem("votes") == "vote"
+    assert keep.stem("votes") == "votes"
+    assert strip.stem("votes") == "vote"
+
+
+@given(st.text(st.sampled_from("hhttps#@:/5 ") | st.characters(), max_size=60))
+@example("htt#p xx")
+@example("HT#TPS://x #h#t#t#p5")
+def test_normalize_matches_fixed_point_oracle(text):
+    assert normalize(text) == reference_normalize(text)
+
+
+def test_stem_rule_scan_runs_once_per_distinct_token():
+    rules = load_default_stemmer_rules()
+    scanned = []
+    apply_once = rules._apply_once
+    rules._apply_once = lambda token: scanned.append(token) or apply_once(token)
+    docs = [preprocess(make_record(tweet_id=f"t{i}", text="Winning"), STOPWORDS, rules) for i in range(1000)]
+    assert {doc.tokens for doc in docs} == {("win",)}
+    assert scanned == ["winning", "win"]  # the first stem's two passes, then cache hits
+
+
+def test_normalize_passes_only_while_http_remains(monkeypatch):
+    passes = []
+    one_pass = PREPROCESS_MODULE._normalize_pass
+    monkeypatch.setattr(PREPROCESS_MODULE, "_normalize_pass", lambda text: passes.append(text) or one_pass(text))
+    assert normalize("Vote NOW! https://t.co/x #WestBengal @abc 2021") == "vote now westbengal"
+    assert len(passes) == 1
+    passes.clear()
+    assert normalize("htt#p xx") == "xx"
+    assert len(passes) == 2
