@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import codecs
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 
 REQUIRED_KEYS = (
@@ -29,13 +31,16 @@ REQUIRED_KEYS = (
 # load_corpus aborts when more than this fraction of non-empty lines is invalid
 MAX_INVALID_FRACTION = 0.5
 
+_decode_json = json.JSONDecoder().decode  # json.loads(str) without its per-call dispatch
+_BAD_HASHTAG_CHAR = re.compile(r"[#\s]")  # '#' or a char for which str.isspace() holds
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 class CorpusFormatError(ValueError):
     """Raised when a corpus file as a whole is unusable."""
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     """One ingested post, normalized (lowercase hashtags, no self-mentions)."""
 
     tweet_id: str
@@ -89,8 +94,12 @@ def _parse_timestamp(value) -> datetime:
         raise ValueError(f"timestamp not ISO-8601: {value!r}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
+    try:
+        parsed = parsed.astimezone(timezone.utc)  # returns self when already UTC
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {value!r}") from None
     # seconds precision: sub-second detail is dropped deterministically
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    return parsed.replace(microsecond=0) if parsed.microsecond else parsed
 
 
 def _parse_hashtags(value) -> tuple[str, ...]:
@@ -103,18 +112,30 @@ def _parse_hashtags(value) -> tuple[str, ...]:
         tag = item.lstrip("#").lower()
         if not tag:
             raise ValueError("hashtag empty after normalization")
-        if "#" in tag or any(ch.isspace() for ch in tag):
+        if _BAD_HASHTAG_CHAR.search(tag):
             raise ValueError(f"hashtag contains whitespace or '#': {item!r}")
         tags.append(tag)
     return tuple(tags)
 
 
-def _parse_record(obj: dict) -> tuple[TweetRecord, int]:
-    """Validate one decoded JSON object; returns (record, unknown-key count)."""
+def _parse_line(line: str) -> tuple[TweetRecord, int]:
+    """Validate one non-blank line; returns (record, unknown-key count)."""
+    try:
+        obj = _decode_json(line)
+    except json.JSONDecodeError as err:
+        # json.loads names a leading U+FEFF; decode() only sees a bad value
+        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else err.msg
+        raise ValueError(f"invalid JSON: {msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ValueError("invalid JSON: integer too long") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
     for key in REQUIRED_KEYS:
         if key not in obj:
             raise ValueError(f"missing {key}")
-    unknown = sum(1 for key in obj if key not in REQUIRED_KEYS)
+    unknown = len(obj) - len(REQUIRED_KEYS)
 
     tweet_id = obj["tweet_id"]
     if not isinstance(tweet_id, str) or not tweet_id:
@@ -130,12 +151,14 @@ def _parse_record(obj: dict) -> tuple[TweetRecord, int]:
     hashtags = _parse_hashtags(obj["hashtags"])
 
     raw_mentions = obj["mentions"]
-    if not isinstance(raw_mentions, list) or not all(
-        isinstance(m, str) and m for m in raw_mentions
-    ):
+    if not isinstance(raw_mentions, list):
         raise ValueError("mentions must be an array of non-empty strings")
-    # self-mentions are dropped, not rejected
-    mentions = tuple(m for m in raw_mentions if m != author_id)
+    mentions = []
+    for mention in raw_mentions:
+        if not isinstance(mention, str) or not mention:
+            raise ValueError("mentions must be an array of non-empty strings")
+        if mention != author_id:  # self-mentions are dropped, not rejected
+            mentions.append(mention)
 
     retweet_of = obj["retweet_of"]
     if retweet_of is not None and (not isinstance(retweet_of, str) or not retweet_of):
@@ -148,15 +171,15 @@ def _parse_record(obj: dict) -> tuple[TweetRecord, int]:
         raise ValueError("follower_count must be >= 0")
 
     record = TweetRecord(
-        tweet_id=tweet_id,
-        author_id=author_id,
-        text=text,
-        timestamp=timestamp,
-        hashtags=hashtags,
-        mentions=mentions,
-        retweet_of=retweet_of,
-        follower_count=follower_count,
+        tweet_id, author_id, text, timestamp, hashtags, tuple(mentions), retweet_of, follower_count
     )
+    # a lone surrogate cannot be written back as UTF-8; raw lines are valid
+    # UTF-8, so only a \u escape can make one
+    if "\\u" in line:
+        for name, value in zip(REQUIRED_KEYS, record):
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, str) and _SURROGATE.search(item):
+                    raise ValueError(f"{name} contains a lone surrogate")
     return record, unknown
 
 
@@ -192,15 +215,7 @@ def load_corpus(path: str | Path, source_label: str) -> LoadResult:
                 continue
             non_empty += 1
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                invalid.append(LineError(line_no, f"invalid JSON: {err.msg}"))
-                continue
-            if not isinstance(obj, dict):
-                invalid.append(LineError(line_no, "record must be a JSON object"))
-                continue
-            try:
-                record, unknown = _parse_record(obj)
+                record, unknown = _parse_line(line)
             except ValueError as err:
                 invalid.append(LineError(line_no, str(err)))
                 continue

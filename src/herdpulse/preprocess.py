@@ -93,6 +93,12 @@ class StemmerRules:
                 )
             if rule.min_stem_length < 0:
                 raise ValueError("min_stem_length must be >= 0")
+            if rule.replacement != rule.suffix and len(rule.replacement) >= len(rule.suffix):
+                # every rewrite then shortens the token, so stem() terminates
+                raise ValueError(
+                    "stemmer replacement must equal its suffix or be shorter: "
+                    f"{rule.suffix!r} -> {rule.replacement!r}"
+                )
             self._by_suffix.setdefault(rule.suffix, []).append(index)
         self.rules = tuple(rules)
         self._suffix_lengths = sorted({len(suffix) for suffix in self._by_suffix})

@@ -1,14 +1,18 @@
-"""Independent brute-force references for the clustering measures and text.
+"""Independent brute-force references for the clustering measures, text and ingestion.
 
 These deliberately enumerate pairs/triples the slow way and never call the
 library's counting helpers, so they stay a genuinely independent check. The
 text references are the plain loops the library's stemmer and ``normalize``
-shortcut: no memo, no suffix index, no early stop.
+shortcut: no memo, no suffix index, no early stop. The ingestion reference
+restates the per-line rules with ``json.loads`` and plain field checks, and
+shares no helper with ``herdpulse.corpus``.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from datetime import datetime, timezone
 from itertools import combinations
 
 from herdpulse import SocialGraph
@@ -105,3 +109,126 @@ def reference_normalize(text: str) -> str:
         if cleaned == text:
             return cleaned
         text = cleaned
+
+
+CORPUS_KEYS = (
+    "tweet_id",
+    "author_id",
+    "text",
+    "timestamp",
+    "hashtags",
+    "mentions",
+    "retweet_of",
+    "follower_count",
+)
+
+
+def _reference_record(line: str) -> tuple[tuple, int]:
+    """One non-blank line -> (field values in ``CORPUS_KEYS`` order,
+    unknown-key count); raises ``ValueError`` with the line's reason."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"invalid JSON: {err.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal longer than the interpreter's digit limit
+        raise ValueError("invalid JSON: integer too long") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    for key in CORPUS_KEYS:
+        if key not in obj:
+            raise ValueError(f"missing {key}")
+    unknown = sum(1 for key in obj if key not in CORPUS_KEYS)
+
+    tweet_id, author_id, text = obj["tweet_id"], obj["author_id"], obj["text"]
+    if not isinstance(tweet_id, str) or not tweet_id:
+        raise ValueError("tweet_id must be a non-empty string")
+    if not isinstance(author_id, str) or not author_id:
+        raise ValueError("author_id must be a non-empty string")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+
+    value = obj["timestamp"]
+    if not isinstance(value, str) or not value:
+        raise ValueError("timestamp must be an ISO-8601 string")
+    stamp = value.strip()
+    if stamp.endswith(("Z", "z")):
+        stamp = stamp[:-1] + "+00:00"
+    try:
+        parsed = datetime.fromisoformat(stamp)
+    except ValueError:
+        raise ValueError(f"timestamp not ISO-8601: {value!r}") from None
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    try:
+        timestamp = parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {value!r}") from None
+
+    raw_tags = obj["hashtags"]
+    if not isinstance(raw_tags, list):
+        raise ValueError("hashtags must be an array of strings")
+    hashtags = []
+    for item in raw_tags:
+        if not isinstance(item, str):
+            raise ValueError("hashtags must be an array of strings")
+        tag = item.lstrip("#").lower()
+        if not tag:
+            raise ValueError("hashtag empty after normalization")
+        if "#" in tag or any(ch.isspace() for ch in tag):
+            raise ValueError(f"hashtag contains whitespace or '#': {item!r}")
+        hashtags.append(tag)
+
+    raw_mentions = obj["mentions"]
+    if not isinstance(raw_mentions, list) or not all(
+        isinstance(m, str) and m for m in raw_mentions
+    ):
+        raise ValueError("mentions must be an array of non-empty strings")
+    mentions = tuple(m for m in raw_mentions if m != author_id)
+
+    retweet_of = obj["retweet_of"]
+    if retweet_of is not None and (not isinstance(retweet_of, str) or not retweet_of):
+        raise ValueError("retweet_of must be null or a non-empty string")
+    follower_count = obj["follower_count"]
+    if isinstance(follower_count, bool) or not isinstance(follower_count, int):
+        raise ValueError("follower_count must be an integer")
+    if follower_count < 0:
+        raise ValueError("follower_count must be >= 0")
+
+    fields = (tweet_id, author_id, text, timestamp, tuple(hashtags), mentions, retweet_of, follower_count)
+    for name, value in zip(CORPUS_KEYS, fields):
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, str):
+                try:
+                    item.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{name} contains a lone surrogate") from None
+    return fields, unknown
+
+
+def reference_load_lines(lines: list[str]) -> tuple[list[tuple], list[tuple[int, str]], int]:
+    """Ingest decoded lines (no LF) the plain way.
+
+    Returns (kept records as field tuples in file order, ``(line_no, reason)``
+    per invalid non-blank line, unknown keys summed over kept records). A
+    leading BOM on line 1 is dropped; a later duplicate tweet_id is invalid.
+    """
+    records, errors, unknown, seen = [], [], 0, set()
+    for line_no, line in enumerate(lines, start=1):
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
+        if not line.strip():
+            continue
+        try:
+            fields, extra = _reference_record(line)
+        except ValueError as err:
+            errors.append((line_no, str(err)))
+            continue
+        if fields[0] in seen:
+            errors.append((line_no, f"duplicate tweet_id: {fields[0]}"))
+            continue
+        seen.add(fields[0])
+        records.append(fields)
+        unknown += extra
+    return records, errors, unknown

@@ -88,6 +88,53 @@ def test_analyze_data_file_not_utf8_names_the_file(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"error: {tmp_path / 'data.txt'}: not valid UTF-8\n"
 
 
+def test_analyze_cyclic_stemmer_table_is_config_failure(tmp_path, capsys):
+    (tmp_path / "rules.tsv").write_text("b\ta\t0\na\tb\t0\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stemmer_rules_path": "rules.tsv"}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+HOSTILE_LINES = {
+    "out_of_range_timestamp": (
+        record_line(tweet_id="bad", timestamp="0001-01-01T00:00:00+01:00"),
+        "timestamp out of range: '0001-01-01T00:00:00+01:00'",
+    ),
+    "deep_nesting": ("[" * 100_000, "invalid JSON: nested too deeply"),
+    "long_integer": (
+        record_line(tweet_id="bad").replace('"follower_count": 0', '"follower_count": ' + "9" * 5000),
+        "invalid JSON: integer too long",
+    ),
+    "lone_surrogate": (record_line(tweet_id="\ud800"), "tweet_id contains a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+def test_validate_hostile_line_is_a_line_error(tmp_path, capsys, case):
+    line, reason = HOSTILE_LINES[case]
+    good = [record_line(tweet_id=f"t{i}") for i in (1, 2, 3)]
+    path = write_corpus(tmp_path, good + [line])
+    assert main(["validate", "--corpus", path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}:4: {reason}\n" in out
+    assert f"{path}: 3 valid, 1 invalid" in out
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LINES))
+def test_analyze_skips_hostile_line(tmp_path, capsys, case):
+    line, _ = HOSTILE_LINES[case]
+    good = [record_line(tweet_id=f"t{i}", text="good day") for i in (1, 2, 3)]
+    out_dir = tmp_path / "bundle"
+    code = main(["analyze", "--corpus", write_corpus(tmp_path, good + [line]), "--out", str(out_dir)])
+    assert code == 1  # no camps configured: "no camp signal", bundle still written
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stage_counts"]["loaded_records"] == 3
+    assert manifest["stage_counts"]["invalid_lines"] == 1
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import codecs
 import json
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -18,8 +18,10 @@ from herdpulse import (
     merge_corpora,
     save_corpus,
 )
+from herdpulse.corpus import REQUIRED_KEYS, record_to_json
 
 from .conftest import make_corpus, make_record, record_line
+from .oracles import reference_load_lines
 
 
 def test_three_valid_lines(corpus_file):
@@ -154,6 +156,68 @@ def test_leading_bom_is_stripped(tmp_path):
     assert result.invalid == []
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (record_line(timestamp="0001-01-01T00:00:00+01:00"), "timestamp out of range: '0001-01-01T00:00:00+01:00'"),
+        (record_line(timestamp="9999-12-31T23:59:59-01:00"), "timestamp out of range: '9999-12-31T23:59:59-01:00'"),
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+        ('{"follower_count": ' + "1" * 5000 + "}", "invalid JSON: integer too long"),
+        ("\ufeff" + record_line(), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (record_line(tweet_id="\ud800"), "tweet_id contains a lone surrogate"),
+        (record_line(author_id="a\udfff"), "author_id contains a lone surrogate"),
+        (record_line(text="\ude00\ud83d"), "text contains a lone surrogate"),
+        (record_line(hashtags=["ok", "x\udc00"]), "hashtags contains a lone surrogate"),
+        (record_line(mentions=["\ud800"]), "mentions contains a lone surrogate"),
+        (record_line(retweet_of="\udbff"), "retweet_of contains a lone surrogate"),
+        (record_line(hashtags=["west\u3000bengal"]), "hashtag contains whitespace or '#': 'west\\u3000bengal'"),
+        (record_line(hashtags=["#a\x1c"]), "hashtag contains whitespace or '#': '#a\\x1c'"),
+        (record_line(mentions=["a2", ""]), "mentions must be an array of non-empty strings"),
+    ],
+    ids=["year_1", "year_9999", "nesting", "long_int", "later_bom"]
+    + [f"surrogate_{key}" for key in ("tweet_id", "author_id", "text", "hashtags", "mentions", "retweet_of")]
+    + ["ideographic_space_tag", "separator_control_tag", "empty_mention"],
+)
+def test_hostile_line_is_a_line_error(tmp_path, line, reason):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([record_line(tweet_id="t0"), line]) + "\n", encoding="utf-8")
+    result = load_corpus(path, "demo")
+    assert [r.tweet_id for r in result.corpus] == ["t0"]
+    assert result.invalid == [LineError(2, reason)]
+
+
+def test_surrogate_pair_escape_and_unknown_key_surrogate_are_kept(corpus_file):
+    # a pair of \u escapes is one astral character; an unknown key is never stored
+    path = corpus_file([record_line(text="\U0001f600", extra="\ud800")])
+    result = load_corpus(path, "demo")
+    assert result.invalid == []
+    assert result.corpus.records[0].text == "\U0001f600"
+
+
+def test_timestamp_drops_microseconds_after_conversion(corpus_file):
+    path = corpus_file(
+        [
+            record_line(tweet_id="t1", timestamp="2021-02-01T17:30:00.999999+05:30"),
+            record_line(tweet_id="t2", timestamp="2021-02-01T12:00:00.5"),
+        ]
+    )
+    t1, t2 = load_corpus(path, "demo").corpus.records
+    assert t1.timestamp == t2.timestamp == datetime(2021, 2, 1, 12, 0, 0, tzinfo=timezone.utc)
+    assert t1.timestamp.microsecond == t2.timestamp.microsecond == 0
+    assert t1.timestamp.tzinfo is t2.timestamp.tzinfo is timezone.utc
+
+
+def test_tweet_record_is_an_immutable_hashable_record():
+    record = make_record()
+    with pytest.raises(AttributeError):
+        record.text = "changed"
+    assert record == make_record()
+    assert hash(record) == hash(make_record())
+    assert len({record, make_record(), make_record(tweet_id="t2")}) == 2
+    assert TweetRecord._fields == REQUIRED_KEYS
+    assert tuple(json.loads(record_to_json(record))) == REQUIRED_KEYS
+
+
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
 def test_unicode_line_separator_in_text_keeps_line_whole(tmp_path, separator):
     lines = [
@@ -266,3 +330,94 @@ def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
     result = load_corpus(path, "demo")
     non_empty = sum(1 for line in lines if line.strip())
     assert len(result.corpus) + len(result.invalid) == non_empty
+
+
+def rarely(usual, odd):
+    """``odd`` about one draw in six, else ``usual``. ``n`` shrinks to 0, so a
+    failing example shrinks towards ``usual`` values."""
+    return st.integers(0, 5).flatmap(lambda n: odd if n == 1 else usual)
+
+
+def _stamp_text(stamp: datetime, style: str) -> str:
+    text = stamp.isoformat()
+    return f" {text} " if style == " " else text.replace("+00:00", style) if style else text
+
+
+WRONG_TYPES = st.sampled_from([None, 0, 1.5, True, [], {}])
+ODD_STRINGS = st.sampled_from(["", "\ud800", "x\udfff", "\U0001f600"]) | st.text(st.characters(), max_size=4)
+ZONES = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-1))]
+TIMESTAMPS = rarely(
+    st.builds(_stamp_text, st.datetimes(timezones=st.sampled_from(ZONES)), st.sampled_from(["", "Z", "z", " "])),
+    st.sampled_from(["not a time", "", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59.5-01:00"]) | WRONG_TYPES,
+)
+# letters and digits of any script and case, with or without leading '#'
+TAGS = st.builds(
+    str.__add__, st.sampled_from(["", "#", "##"]), st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=4)
+)
+# '#', ASCII and Unicode spaces, control and format characters, anything
+TAG_CHARS = (
+    st.sampled_from("#aZ \u3000\x1c\x85\u200b")
+    | st.characters(categories=["Zs", "Zl", "Zp", "Cc", "Cf"])
+    | st.characters()
+)
+ODD_TAGS = st.text(TAG_CHARS, min_size=1, max_size=4) | st.sampled_from(["", "#", "##", "x\udc00"]) | WRONG_TYPES
+SELF = "<the author>"  # placeholder in a drawn mention list for a self-mention
+MENTIONS = st.sampled_from([SELF, "a", "b", "c"])
+RECORDS = st.fixed_dictionaries({
+    "tweet_id": rarely(st.text("tuv", min_size=1, max_size=3), ODD_STRINGS),
+    "author_id": rarely(st.sampled_from(["a", "b"]), ODD_STRINGS),
+    "text": st.text(),
+    "timestamp": TIMESTAMPS,
+    "hashtags": rarely(st.lists(TAGS, max_size=3), st.lists(TAGS | ODD_TAGS, min_size=1, max_size=3)),
+    "mentions": rarely(st.lists(MENTIONS, max_size=4), st.lists(MENTIONS | ODD_STRINGS | WRONG_TYPES, max_size=4)),
+    "retweet_of": rarely(st.sampled_from([None, "a"]), ODD_STRINGS),
+    "follower_count": rarely(st.integers(0, 10**12), st.sampled_from([-1, True, 2.0, "7", None])),
+})
+BROKEN_KEYS = rarely(st.just([]), st.lists(st.sampled_from(REQUIRED_KEYS), min_size=1, max_size=2))
+UNKNOWN_KEYS = st.dictionaries(st.sampled_from(["lang", "source", "\ud800"]), ODD_STRINGS, max_size=2)
+# "\ufeff" stands for a BOM in front of the record; the rest replace it
+ODD_LINES = st.sampled_from(
+    ["\ufeff", "", "   ", "null", "[1]", '"str"', "{broken", "[" * 5000, '{"a": 1' + "0" * 5000 + "}"]
+)
+
+
+@st.composite
+def corpus_lines(draw):
+    """One line: a record with odd field values, missing, wrong-typed or
+    unknown keys, serialized with or without \\u escapes; or junk."""
+    obj = draw(RECORDS)
+    obj["mentions"] = [obj["author_id"] if m == SELF else m for m in obj["mentions"]]
+    for key in draw(BROKEN_KEYS):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(WRONG_TYPES)
+    obj.update(draw(UNKNOWN_KEYS))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if any("\ud800" <= ch <= "\udfff" for ch in line):
+        line = json.dumps(obj)  # a raw lone surrogate cannot be written as UTF-8
+    odd = draw(rarely(st.none(), ODD_LINES))
+    return line if odd is None else "\ufeff" + line if odd == "\ufeff" else odd
+
+
+@given(st.lists(corpus_lines(), min_size=1, max_size=8), st.integers(0, 8))
+def test_load_corpus_matches_reference_ingestion(lines, padding):
+    # valid lines after the drawn ones keep most files under the invalid-line limit
+    lines = lines + [record_line(tweet_id=f"pad{i}") for i in range(padding)]
+    records, errors, unknown = reference_load_lines(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        non_empty = len(records) + len(errors)
+        if non_empty and len(errors) / non_empty > 0.5:
+            with pytest.raises(CorpusFormatError):
+                load_corpus(path, "test")
+            return
+        result = load_corpus(path, "test")
+
+    def plain(fields):
+        return fields[:3] + (fields[3].isoformat(), fields[3].tzinfo is timezone.utc) + fields[4:]
+
+    assert [plain(tuple(r)) for r in result.corpus.records] == [plain(r) for r in records]
+    assert [(e.line_no, e.reason) for e in result.invalid] == errors
+    assert result.unknown_key_count == unknown

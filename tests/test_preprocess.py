@@ -135,6 +135,19 @@ def test_stemmer_rule_file_parsing(tmp_path):
         load_stemmer_rules(bad)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [("b", "a", 0), ("a", "b", 0)],  # a cycle: stem("b") would never return
+        [("s", "ss", 0)],  # a growing rewrite
+        [("ab", "ba", 0)],  # same length, not a stop marker
+    ],
+)
+def test_stemmer_rejects_rule_that_does_not_shorten(table):
+    with pytest.raises(ValueError, match="must equal its suffix or be shorter"):
+        StemmerRules([StemRule(*row) for row in table])
+
+
 def test_wordlist_parsing(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("# negations\nnot\nNO\n\nnever\n", encoding="utf-8")
