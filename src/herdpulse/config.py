@@ -65,7 +65,7 @@ def _resolve(base: Path, value) -> Path:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as err:

@@ -220,7 +220,7 @@ def load_corpus(path: str | Path, source_label: str) -> LoadResult:
                 invalid.append(LineError(line_no, str(err)))
                 continue
             if record.tweet_id in seen_ids:
-                invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id}"))
+                invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id!r}"))
                 continue
             seen_ids.add(record.tweet_id)
             unknown_keys += unknown

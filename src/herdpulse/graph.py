@@ -69,47 +69,96 @@ def build_graph(corpus: Corpus) -> SocialGraph:
     """Graph over authors, mention targets and retweet targets.
 
     An undirected edge {a, b} exists when a mentions b or a retweets b;
-    self-interactions are dropped and repeats collapse.
+    self-interactions are dropped and repeats collapse. Nodes and neighbors
+    enter in the order ``add_node``/``add_edge`` calls would add them.
     """
     graph = SocialGraph()
+    adj = graph._adj
     for record in corpus.records:
-        graph.add_node(record.author_id)
-        for mentioned in record.mentions:
-            graph.add_edge(record.author_id, mentioned)
+        author = record.author_id
+        own = adj.get(author)
+        if own is None:
+            own = adj[author] = set()
+        targets = record.mentions
         if record.retweet_of is not None:
-            graph.add_edge(record.author_id, record.retweet_of)
+            targets = (*targets, record.retweet_of)
+        for other in targets:
+            if other == author:
+                continue
+            own.add(other)
+            theirs = adj.get(other)
+            if theirs is None:
+                adj[other] = {author}
+            else:
+                theirs.add(author)
     return graph
 
 
-def _neighbor_edge_count(graph: SocialGraph, node: str) -> int:
-    """Number of edges among the neighbors of ``node`` (exact integer)."""
-    nbrs = graph.neighbors(node)
-    return sum(len(graph.neighbors(u) & nbrs) for u in nbrs) // 2
+def _oriented(graph: SocialGraph) -> tuple[list[str], list[int], list[set[int]]]:
+    """``(nodes, order, out)``: the graph interned and oriented by degree.
+
+    Node i is ``nodes[i]``, the i-th in sorted order. Nodes rank by
+    ``(degree, i)``: ``order[r]`` is the index of the node of rank r and
+    ``out[r]`` holds the ranks of its higher-ranked neighbors, so each edge
+    sits in exactly one out-set. The d members of ``out[r]`` each have degree
+    >= d, so d * d <= 2E.
+    """
+    adj = graph._adj
+    nodes = sorted(adj)
+    order = sorted(range(len(nodes)), key=lambda i: len(adj[nodes[i]]))
+    rank = {nodes[i]: r for r, i in enumerate(order)}
+    ranked: set[str] = set()  # the nodes of rank <= r
+    out: list[set[int]] = []
+    for i in order:
+        node = nodes[i]
+        ranked.add(node)
+        out.append(set(map(rank.__getitem__, adj[node] - ranked)))
+    return nodes, order, out
 
 
 def clustering_stats(graph: SocialGraph) -> ClusteringStats:
-    """Every clustering measure from t_i, the edges among node i's neighbors.
+    """Every clustering measure from t_i, the triangles at node i.
 
-    One pass counts t_i per node. Local C_i = 2 t_i / (k (k - 1)), 0 below
-    degree 2; a triangle is counted at each of its 3 corners, so transitivity
-    = sum(t_i) / sum(k (k - 1) / 2), 0 without triples. Mean clustering and
-    C(k) (mean C_i per degree) are exact sums; an empty graph scores 0.
+    One forward pass (Schank & Wagner 2005; Latapy 2008) over ``_oriented``:
+    for each oriented edge u -> v, ``out[u] & out[v]`` holds the third corner
+    of every triangle whose two lowest-ranked corners are u and v, so each
+    triangle is found once and credited to its three corners, in E
+    intersections of sets of at most sqrt(2E) nodes. t_i is also the number of
+    edges among i's neighbors: local C_i = 2 t_i / (k (k - 1)), 0 below
+    degree 2; triangles = sum(t_i) // 3; triples = sum(k (k - 1) / 2);
+    transitivity = 3 triangles / triples, 0 without triples. Each float comes
+    from one final division of exact integers; mean clustering and C(k) (mean
+    C_i per degree) are exact sums; an empty graph scores 0.
     """
+    nodes, order, out = _oriented(graph)
+    corners = [0] * len(nodes)
+    for u, higher in enumerate(out):
+        found = 0
+        for v in higher:
+            common = higher & out[v]
+            if common:
+                found += len(common)
+                corners[v] += len(common)
+                for w in common:
+                    corners[w] += 1
+        corners[u] += found
+    t_of = [0] * len(nodes)
+    for r, i in enumerate(order):
+        t_of[i] = corners[r]
+
+    adj = graph._adj
     local: dict[str, float] = {}
     degree: dict[str, int] = {}
     by_degree: dict[int, list[float]] = {}
-    closed = 0
     triples = 0
-    for node in graph.nodes():
-        k = graph.degree(node)
-        t = _neighbor_edge_count(graph, node)
+    for node, t in zip(nodes, t_of):
+        k = len(adj[node])
         c = 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
         local[node] = c
         degree[node] = k
         by_degree.setdefault(k, []).append(c)
-        closed += t
         triples += k * (k - 1) // 2
-    triangles = closed // 3
+    triangles = sum(t_of) // 3
     return ClusteringStats(
         local=local,
         mean_clustering=math.fsum(local.values()) / len(local) if local else 0.0,

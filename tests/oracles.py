@@ -46,6 +46,24 @@ def brute_force_global(graph: SocialGraph) -> float:
     return closed / total if total else 0.0
 
 
+def brute_force_counts(graph: SocialGraph) -> tuple[int, int]:
+    """(triangles, connected triples) over every 3-node set: a set with three
+    edges is one triangle and three closed triples, one with two edges is one
+    open triple."""
+    triangles = open_ = 0
+    for a, b, c in combinations(graph.nodes(), 3):
+        edges = (
+            (b in graph.neighbors(a))
+            + (c in graph.neighbors(a))
+            + (c in graph.neighbors(b))
+        )
+        if edges == 3:
+            triangles += 1
+        elif edges == 2:
+            open_ += 1
+    return triangles, 3 * triangles + open_
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> SocialGraph:
     graph = SocialGraph()
     names = [f"v{i}" for i in range(n)]
@@ -226,7 +244,7 @@ def reference_load_lines(lines: list[str]) -> tuple[list[tuple], list[tuple[int,
             errors.append((line_no, str(err)))
             continue
         if fields[0] in seen:
-            errors.append((line_no, f"duplicate tweet_id: {fields[0]}"))
+            errors.append((line_no, f"duplicate tweet_id: {fields[0]!r}"))
             continue
         seen.add(fields[0])
         records.append(fields)

@@ -47,7 +47,15 @@ def test_validate_bad_line(tmp_path, capsys):
     path = write_corpus(tmp_path, lines)
     assert main(["validate", "--corpus", path]) == 1
     out = capsys.readouterr().out
-    assert ":3: duplicate tweet_id: t2" in out
+    assert ":3: duplicate tweet_id: 't2'" in out
+
+
+def test_validate_duplicate_id_with_newline_stays_on_one_line(tmp_path, capsys):
+    lines = [record_line(tweet_id=f"t{i}") for i in (1, 2, 3)] + [record_line(tweet_id="a\nb")] * 2
+    path = write_corpus(tmp_path, lines)
+    assert main(["validate", "--corpus", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{path}:5: duplicate tweet_id: 'a\\nb'", f"{path}: 4 valid, 1 invalid"]
 
 
 def test_validate_invalid_utf8_line(tmp_path, capsys):
@@ -76,6 +84,16 @@ def test_analyze_config_not_utf8_is_config_failure(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: {config}: not valid UTF-8\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_config_with_bom_matches_plain_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + Path(DEMO_CONFIG).read_bytes())
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(plain)]) == 0
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(bom)]) == 0
+    for name in BUNDLE_NAMES[:-1]:  # the manifest records the config path
+        assert (bom / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("key", ["stopwords_path", "stemmer_rules_path", "negation_words_path", "lexicon_path"])

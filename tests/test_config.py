@@ -4,7 +4,9 @@ import importlib
 import json
 import shutil
 
-from herdpulse import default_config, load_config
+import pytest
+
+from herdpulse import ConfigError, default_config, load_config
 from herdpulse.preprocess import default_data_path
 
 CONFIG_MODULE = importlib.import_module("herdpulse.config")
@@ -34,3 +36,18 @@ def test_overridden_data_files_skip_packaged_defaults(tmp_path, monkeypatch):
     assert config.stemmer_rules.rules == expected.stemmer_rules.rules
     assert config.negation_words == expected.negation_words
     assert config.lexicon.entries == expected.lexicon.entries
+
+
+def test_config_with_bom_loads_like_plain(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"herd_threshold": 0.25, "camps": {"x": ["vote"]}}).encode())
+    config = load_config(path)
+    assert config.herd_threshold == 0.25
+    assert config.camps.camps == {"x": frozenset({"vote"})}
+
+
+def test_config_bom_before_invalid_utf8_is_still_an_encoding_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf{}\xff")
+    with pytest.raises(ConfigError, match=r": not valid UTF-8$"):
+        load_config(path)
