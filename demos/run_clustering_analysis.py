@@ -12,7 +12,7 @@ from herdpulse import build_graph, clustering_stats, load_corpus
 
 DATA = Path(__file__).parent / "data"
 
-corpus = load_corpus(DATA / "demo_tweets.jsonl", "demo").corpus
+corpus = load_corpus(DATA / "demo_tweets.jsonl").corpus
 graph = build_graph(corpus)
 # one counting pass yields every clustering number below
 stats = clustering_stats(graph)

@@ -13,7 +13,7 @@ from herdpulse import analyze_corpus, load_config, load_corpus
 
 DATA = Path(__file__).parent / "data"
 
-corpus = load_corpus(DATA / "demo_tweets.jsonl", "demo").corpus
+corpus = load_corpus(DATA / "demo_tweets.jsonl").corpus
 config = load_config(DATA / "demo_config.json")
 result = analyze_corpus(corpus, config)
 

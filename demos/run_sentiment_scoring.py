@@ -13,7 +13,7 @@ from herdpulse import default_config, load_corpus, preprocess, score_tokens, sum
 DATA = Path(__file__).parent / "data"
 
 # 1. Ingest. Every line is validated; bad lines would be listed, not dropped.
-result = load_corpus(DATA / "demo_tweets.jsonl", "demo")
+result = load_corpus(DATA / "demo_tweets.jsonl")
 print(f"loaded {len(result.corpus)} tweets, {len(result.invalid)} invalid lines")
 
 config = default_config()

@@ -35,10 +35,8 @@ def _fail(message: str) -> None:
 
 def _load_inputs(paths: list[str], hashtag: str | None) -> tuple[LoadResult, int]:
     """Load and merge corpus files; returns (result, pre-filter record count)."""
-    results = [load_corpus(path, Path(path).stem) for path in paths]
-    merged = (
-        results[0] if len(results) == 1 else merge_corpora(results, results[0].corpus.source_label)
-    )
+    results = [load_corpus(path) for path in paths]
+    merged = results[0] if len(results) == 1 else merge_corpora(results)
     loaded = len(merged.corpus.records)
     if hashtag:
         merged = LoadResult(
@@ -64,7 +62,7 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.corpus:
         try:
-            result = load_corpus(path, Path(path).stem)
+            result = load_corpus(path)
         except CorpusFormatError as err:
             _fail(str(err))
             status = max(status, EXIT_DATA)

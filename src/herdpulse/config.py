@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, CampConfig, check_band_edges
-from .preprocess import StemmerRules, default_data_path, load_stemmer_rules, load_wordlist
+from .preprocess import StemmerRules, load_stemmer_rules, load_wordlist
 from .sentiment import Lexicon, load_lexicon
 
 
@@ -49,6 +49,11 @@ _DATA_FILES = {
     "negation_words_path": ("negation_words", load_wordlist, "negation_words.txt"),
     "lexicon_path": ("lexicon", load_lexicon, "lexicon.tsv"),
 }
+
+
+def default_data_path(name: str) -> Path:
+    """Path of a data file shipped in the package directory (stopwords, rules, ...)."""
+    return Path(__file__).parent / "data" / name
 
 
 def default_config() -> RunConfig:

@@ -58,7 +58,6 @@ class Corpus:
     """Ordered, duplicate-free record list; order is ingestion order."""
 
     records: tuple[TweetRecord, ...]
-    source_label: str
 
     def __len__(self) -> int:
         return len(self.records)
@@ -67,8 +66,7 @@ class Corpus:
         return iter(self.records)
 
 
-@dataclass(frozen=True)
-class LineError:
+class LineError(NamedTuple):
     line_no: int
     reason: str
 
@@ -183,7 +181,7 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
     return record, unknown
 
 
-def load_corpus(path: str | Path, source_label: str) -> LoadResult:
+def load_corpus(path: str | Path) -> LoadResult:
     """Load a line-delimited corpus file, keeping every valid record in file order.
 
     Lines end at LF only and are decoded one by one, so a raw U+2028 in a
@@ -232,8 +230,7 @@ def load_corpus(path: str | Path, source_label: str) -> LoadResult:
             "file does not look like a corpus"
         )
 
-    corpus = Corpus(records=tuple(records), source_label=source_label)
-    return LoadResult(corpus=corpus, invalid=invalid, unknown_key_count=unknown_keys)
+    return LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown_keys)
 
 
 def record_to_json(record: TweetRecord) -> str:
@@ -264,10 +261,10 @@ def filter_by_hashtag(corpus: Corpus, tag: str) -> Corpus:
     if not wanted:
         raise ValueError("tag must be non-empty after stripping '#'")
     kept = tuple(r for r in corpus.records if wanted in r.hashtags)
-    return Corpus(records=kept, source_label=wanted)
+    return Corpus(kept)
 
 
-def merge_corpora(results: list[LoadResult], source_label: str) -> LoadResult:
+def merge_corpora(results: list[LoadResult]) -> LoadResult:
     """Concatenate loaded corpora; duplicates across files keep first occurrence."""
     records: list[TweetRecord] = []
     invalid: list[LineError] = []
@@ -281,5 +278,4 @@ def merge_corpora(results: list[LoadResult], source_label: str) -> LoadResult:
                 continue
             seen.add(record.tweet_id)
             records.append(record)
-    corpus = Corpus(records=tuple(records), source_label=source_label)
-    return LoadResult(corpus=corpus, invalid=invalid, unknown_key_count=unknown)
+    return LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown)

@@ -9,8 +9,8 @@ brute-force oracles in the test suite can match them exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus
 
@@ -52,8 +52,7 @@ class SocialGraph:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
 
-@dataclass(frozen=True)
-class ClusteringStats:
+class ClusteringStats(NamedTuple):
     """Every clustering measure of one graph, derived from one counting pass."""
 
     local: dict[str, float]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import Corpus, TweetRecord
 from .preprocess import TokenDoc
@@ -27,8 +28,7 @@ class PredictionError(ValueError):
     """Raised when no camp received a single tweet."""
 
 
-@dataclass(frozen=True)
-class AuthorProfile:
+class AuthorProfile(NamedTuple):
     author_id: str
     mean_subjectivity: float
     mean_polarity: float
@@ -36,16 +36,14 @@ class AuthorProfile:
     local_clustering: float
 
 
-@dataclass(frozen=True)
-class BandStat:
+class BandStat(NamedTuple):
     low: float
     high: float
     count: int
     mean_clustering: float
 
 
-@dataclass(frozen=True)
-class HerdReport:
+class HerdReport(NamedTuple):
     bands: tuple[BandStat, ...]
     global_mean_clustering: float
     herd_index: float
@@ -79,8 +77,7 @@ class CampAssignments:
     unassigned_count: int = 0
 
 
-@dataclass(frozen=True)
-class CampResult:
+class CampResult(NamedTuple):
     camp_id: str
     rank: int
     tweet_count: int
@@ -93,8 +90,7 @@ class CampResult:
     support: float
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     camps: tuple[CampResult, ...]
     winner: str | None
     margin: float

@@ -1,17 +1,16 @@
 """Text normalization and tokenization for raw tweets.
 
-The pipeline is ``normalize -> tokenize -> remove_stopwords -> stem`` and is
-fully rule-driven: the stopword list and the stemmer rule table are versioned
-data files, so the token output of a given text never changes between runs or
-machines.
+The pipeline is ``normalize``, a split on spaces and ``stem``, with stopwords
+dropped before and after stemming. It is fully rule-driven: the stopword list
+and the stemmer rule table are versioned data files, so the token output of a
+given text never changes between runs or machines.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 
 _URL_RE = re.compile(r"https?\S*")
@@ -19,13 +18,11 @@ _MENTION_RE = re.compile(r"@\S+")
 _NON_LETTER_RE = re.compile(r"[^a-z]+")
 
 
-@dataclass(frozen=True)
-class TokenDoc:
+class TokenDoc(NamedTuple):
     """Normalized token list for one tweet."""
 
     tweet_id: str
     tokens: tuple[str, ...]
-    raw_length: int
 
 
 def _normalize_pass(text: str) -> str:
@@ -54,17 +51,7 @@ def normalize(text: str) -> str:
     return cleaned
 
 
-def tokenize(text: str) -> list[str]:
-    """Split normalized text on spaces, dropping empty fragments."""
-    return [fragment for fragment in text.split(" ") if fragment]
-
-
-def remove_stopwords(tokens: list[str], stoplist: frozenset[str] | set[str]) -> list[str]:
-    return [token for token in tokens if token not in stoplist]
-
-
-@dataclass(frozen=True)
-class StemRule:
+class StemRule(NamedTuple):
     suffix: str
     replacement: str
     min_stem_length: int
@@ -155,35 +142,19 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def default_data_path(name: str) -> Path:
-    """Path of a data file shipped with the package (stopwords, rules, ...)."""
-    return Path(resources.files("herdpulse").joinpath("data", name))
-
-
-def load_default_stopwords() -> frozenset[str]:
-    return load_wordlist(default_data_path("stopwords.txt"))
-
-
-def load_default_stemmer_rules() -> StemmerRules:
-    return load_stemmer_rules(default_data_path("stemmer_rules.tsv"))
-
-
-def load_default_negation_words() -> frozenset[str]:
-    return load_wordlist(default_data_path("negation_words.txt"))
-
-
 def preprocess_text(
     text: str, stoplist: frozenset[str] | set[str], rules: StemmerRules
 ) -> list[str]:
-    stem = rules.stem  # normalized text is single-spaced: split() is tokenize()
-    return [out for token in normalize(text).split() if token not in stoplist and (out := stem(token))]
+    """Tokens of one text; a stopword is dropped both before and after stemming."""
+    stem = rules.stem  # normalize() leaves single-spaced [a-z], so split() yields its words
+    return [
+        out
+        for token in normalize(text).split()
+        if token not in stoplist and (out := stem(token)) and out not in stoplist
+    ]
 
 
 def preprocess(record, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> TokenDoc:
     """Full pipeline for one record; empty token output is valid."""
     tokens = preprocess_text(record.text, stoplist, rules)
-    return TokenDoc(
-        tweet_id=record.tweet_id,
-        tokens=tuple(tokens),
-        raw_length=len(record.text),
-    )
+    return TokenDoc(tweet_id=record.tweet_id, tokens=tuple(tokens))

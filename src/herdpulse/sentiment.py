@@ -9,9 +9,8 @@ Documents with no lexicon hit score (0, 0, NEUTRAL).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .preprocess import TokenDoc
 
@@ -26,15 +25,10 @@ class LexiconError(ValueError):
     """Raised for malformed, duplicated or out-of-range lexicon entries."""
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    term: str
-    polarity: float
-    subjectivity: float
+Lexicon = dict[str, tuple[float, float]]  # term -> (polarity, subjectivity)
 
 
-@dataclass(frozen=True)
-class SentimentScore:
+class SentimentScore(NamedTuple):
     tweet_id: str
     polarity: float
     subjectivity: float
@@ -42,8 +36,7 @@ class SentimentScore:
     matched_terms: int
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     """Label counts plus truncated two-decimal percentage strings."""
 
     total: int
@@ -55,27 +48,13 @@ class CorpusSummary:
     neutral_pct: str
 
 
-class Lexicon:
-    def __init__(self, entries: dict[str, LexiconEntry]):
-        self.entries = entries
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.entries
-
-    def __getitem__(self, term: str) -> LexiconEntry:
-        return self.entries[term]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Parse ``term<TAB>polarity<TAB>subjectivity`` lines into a Lexicon.
+    """Parse ``term<TAB>polarity<TAB>subjectivity`` lines into a term -> scores dict.
 
     Any malformed line, duplicate term or out-of-range value is fatal: a demo
     lexicon that silently lost entries would corrupt every downstream number.
     """
-    entries: dict[str, LexiconEntry] = {}
+    entries: Lexicon = {}
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -100,12 +79,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
             )
         if term in entries:
             raise LexiconError(f"{path}:{line_no}: duplicate term {term!r}")
-        entries[term] = LexiconEntry(term, polarity, subjectivity)
-    return Lexicon(entries)
-
-
-def load_default_lexicon() -> Lexicon:
-    return load_lexicon(Path(resources.files("herdpulse").joinpath("data", "lexicon.tsv")))
+        entries[term] = (polarity, subjectivity)
+    return entries
 
 
 def classify(polarity: float) -> str:
@@ -129,15 +104,14 @@ def score_tokens(
     polarities: list[float] = []
     subjectivities: list[float] = []
     previous: str | None = None
-    entries = lexicon.entries
     for token in doc.tokens:
-        entry = entries.get(token)
+        entry = lexicon.get(token)
         if entry is not None:
-            effective = entry.polarity
+            polarity, subjectivity = entry
             if previous is not None and previous in negation_words:
-                effective = NEGATION_FLIP * entry.polarity
-            polarities.append(effective)
-            subjectivities.append(entry.subjectivity)
+                polarity = NEGATION_FLIP * polarity
+            polarities.append(polarity)
+            subjectivities.append(subjectivity)
         previous = token
 
     if not polarities:

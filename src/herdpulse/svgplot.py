@@ -8,13 +8,16 @@ output.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH = 640.0
 HEIGHT = 480.0
 MARGIN = 60.0
 
 SERIES_COLORS = ("#1f6fb2", "#d1495b", "#3e8e41", "#8e5ba6")
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape`` does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -42,9 +45,9 @@ def render_scatter(
     An entirely empty series list still renders axes over a [0, 1] x [0, 1]
     frame, so "no data" plots are valid documents.
     """
-    title = escape(title)
-    x_label = escape(x_label)
-    y_label = escape(y_label)
+    title = _escape(title)
+    x_label = _escape(x_label)
+    y_label = _escape(y_label)
     all_x = [x for _, points in series for x, _ in points]
     all_y = [y for _, points in series for _, y in points]
     x_min, x_max = _scale(all_x)
@@ -98,7 +101,7 @@ def render_scatter(
             out.append(
                 f'<text x="{_fmt(WIDTH - MARGIN)}" y="{_fmt(MARGIN + 16 * index)}" '
                 f'text-anchor="end" font-family="sans-serif" font-size="12" '
-                f'fill="{color}">{escape(label)}</text>'
+                f'fill="{color}">{_escape(label)}</text>'
             )
 
     out.append("</svg>")

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from herdpulse import Corpus, TweetRecord
+from herdpulse.corpus import Corpus, TweetRecord
 
 
 def make_record(
@@ -29,8 +29,8 @@ def make_record(
     )
 
 
-def make_corpus(records, source_label="test"):
-    return Corpus(records=tuple(records), source_label=source_label)
+def make_corpus(records):
+    return Corpus(records=tuple(records))
 
 
 def record_line(

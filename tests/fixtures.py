@@ -40,7 +40,7 @@ def clique_star_corpus():
                 mentions=[hub],
             )
         )
-    return make_corpus(records, source_label="clique-star")
+    return make_corpus(records)
 
 
 def engineered_134_corpus_lines():

@@ -15,7 +15,7 @@ import random
 from datetime import datetime, timezone
 from itertools import combinations
 
-from herdpulse import SocialGraph
+from herdpulse.graph import SocialGraph
 from herdpulse.preprocess import _normalize_pass
 
 

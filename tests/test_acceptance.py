@@ -11,29 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from herdpulse import (
-    CampAssignments,
-    Lexicon,
-    LexiconEntry,
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
-    SentimentScore,
-    TokenDoc,
-    build_graph,
-    clustering_stats,
-    default_config,
-    herd_report,
-    load_default_stemmer_rules,
-    load_default_stopwords,
-    normalize,
-    predict,
-    profile_authors,
-    remove_stopwords,
-    score_tokens,
-    preprocess,
-)
+from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
 from herdpulse.cli import main
+from herdpulse.herd import CampAssignments, herd_report, predict, profile_authors
+from herdpulse.preprocess import TokenDoc, normalize, preprocess_text
+from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import record_line
 from .fixtures import clique_star_corpus, engineered_134_corpus_lines
@@ -43,6 +25,7 @@ from .oracles import (
     complete_graph,
     random_graph,
     random_tree,
+    reference_stem,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -111,17 +94,12 @@ def test_criterion_2_sentiment_bounds_fuzz():
     checked = 0
     for _ in range(10_000):
         terms = rng.sample(vocabulary, rng.randint(0, 12))
-        lexicon = Lexicon(
-            {
-                term: LexiconEntry(term, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0))
-                for term in terms
-            }
-        )
+        lexicon = {term: (rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)) for term in terms}
         tokens = [
             rng.choice(vocabulary + ["not", "no", "never", "neither", "nor"])
             for _ in range(rng.randint(0, 25))
         ]
-        doc = TokenDoc(tweet_id="fuzz", tokens=tuple(tokens), raw_length=0)
+        doc = TokenDoc(tweet_id="fuzz", tokens=tuple(tokens))
         score = score_tokens(doc, lexicon, negations)
         assert -1.0 <= score.polarity <= 1.0
         assert 0.0 <= score.subjectivity <= 1.0
@@ -269,15 +247,18 @@ def test_criterion_7_preprocessing_idempotence():
     samples = corpus_texts + _random_noisy_strings(1000 - len(corpus_texts), rng)
     assert len(samples) == 1000
 
-    stopwords = load_default_stopwords()
-    rules = load_default_stemmer_rules()
+    config = default_config()
+    stopwords = config.stopwords
+    rules = config.stemmer_rules
+    table = [(r.suffix, r.replacement, r.min_stem_length) for r in rules.rules]
     for text in samples:
         once = normalize(text)
         assert normalize(once) == once
         tokens = [t for t in once.split(" ") if t]
-        kept = remove_stopwords(tokens, stopwords)
-        assert remove_stopwords(kept, stopwords) == kept
-        for token in kept:
+        for token in tokens:
             stemmed = rules.stem(token)
             assert rules.stem(stemmed) == stemmed
-    print("[PASS] criterion 7: normalize/remove_stopwords/stem fixed points on 1000 strings")
+        kept = preprocess_text(text, stopwords, rules)
+        assert not stopwords.intersection(kept)
+        assert all(reference_stem(token, table) == token for token in kept)
+    print("[PASS] criterion 7: normalize/stem fixed points, no stopword out, on 1000 strings")

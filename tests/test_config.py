@@ -6,8 +6,8 @@ import shutil
 
 import pytest
 
-from herdpulse import ConfigError, default_config, load_config
-from herdpulse.preprocess import default_data_path
+from herdpulse import default_config, load_config
+from herdpulse.config import ConfigError, default_data_path
 
 CONFIG_MODULE = importlib.import_module("herdpulse.config")
 
@@ -35,7 +35,7 @@ def test_overridden_data_files_skip_packaged_defaults(tmp_path, monkeypatch):
     assert config.stopwords == expected.stopwords
     assert config.stemmer_rules.rules == expected.stemmer_rules.rules
     assert config.negation_words == expected.negation_words
-    assert config.lexicon.entries == expected.lexicon.entries
+    assert config.lexicon == expected.lexicon
 
 
 def test_config_with_bom_loads_like_plain(tmp_path):

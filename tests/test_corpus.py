@@ -9,16 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import (
+from herdpulse import load_corpus
+from herdpulse.corpus import (
+    REQUIRED_KEYS,
     CorpusFormatError,
     LineError,
     TweetRecord,
     filter_by_hashtag,
-    load_corpus,
     merge_corpora,
+    record_to_json,
     save_corpus,
 )
-from herdpulse.corpus import REQUIRED_KEYS, record_to_json
 
 from .conftest import make_corpus, make_record, record_line
 from .oracles import reference_load_lines
@@ -26,18 +27,17 @@ from .oracles import reference_load_lines
 
 def test_three_valid_lines(corpus_file):
     path = corpus_file([record_line(tweet_id=f"t{i}") for i in range(3)])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 3
     assert result.invalid == []
     assert [r.tweet_id for r in result.corpus] == ["t0", "t1", "t2"]
-    assert result.corpus.source_label == "demo"
 
 
 def test_missing_tweet_id_reported_with_line_number(corpus_file):
     bad = json.loads(record_line())
     del bad["tweet_id"]
     path = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2"), json.dumps(bad)])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 2
     assert len(result.invalid) == 1
     assert result.invalid[0].line_no == 3
@@ -46,7 +46,7 @@ def test_missing_tweet_id_reported_with_line_number(corpus_file):
 
 def test_duplicate_tweet_id_keeps_first(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", text="first"), record_line(tweet_id="t1", text="second")])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 1
     assert result.corpus.records[0].text == "first"
     assert result.invalid[0].line_no == 2
@@ -55,51 +55,51 @@ def test_duplicate_tweet_id_keeps_first(corpus_file):
 
 def test_unreadable_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        load_corpus(tmp_path / "nope.jsonl", "demo")
+        load_corpus(tmp_path / "nope.jsonl")
 
 
 def test_mostly_invalid_file_is_fatal(corpus_file):
     path = corpus_file([record_line(), "garbage", "{broken", "also not json"])
     with pytest.raises(CorpusFormatError):
-        load_corpus(path, "demo")
+        load_corpus(path)
 
 
 def test_invalid_json_and_non_object_lines(corpus_file):
     path = corpus_file([record_line(), record_line(tweet_id="t2"), '"just a string"'])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 2
     assert result.invalid[0].line_no == 3
 
 
 def test_unknown_keys_counted_not_fatal(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", lang="en", source="web")])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 1
     assert result.unknown_key_count == 2
 
 
 def test_hashtags_normalized_lowercase_no_hash(corpus_file):
     path = corpus_file([record_line(hashtags=["#WestBengal", "Vote2021"])])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert result.corpus.records[0].hashtags == ("westbengal", "vote2021")
 
 
 def test_hashtag_with_whitespace_rejected(corpus_file):
     path = corpus_file([record_line(tweet_id="ok"), record_line(tweet_id="bad", hashtags=["west bengal"])])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 1
     assert "hashtag" in result.invalid[0].reason
 
 
 def test_self_mentions_dropped(corpus_file):
     path = corpus_file([record_line(author_id="a1", mentions=["a1", "a2"])])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert result.corpus.records[0].mentions == ("a2",)
 
 
 def test_negative_follower_count_invalid(corpus_file):
     path = corpus_file([record_line(tweet_id="ok"), record_line(tweet_id="bad", follower_count=-1)])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.invalid) == 1
     assert "follower_count" in result.invalid[0].reason
 
@@ -113,7 +113,7 @@ def test_timestamp_formats(corpus_file):
             record_line(tweet_id="t4", timestamp="not a time"),
         ]
     )
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert len(result.corpus) == 3
     t1, t2, t3 = result.corpus.records
     assert t1.timestamp == t2.timestamp == t3.timestamp
@@ -127,10 +127,10 @@ def test_round_trip_is_fixed_point(corpus_file, tmp_path):
             record_line(tweet_id="t2", retweet_of="zed", follower_count=42),
         ]
     )
-    first = load_corpus(path, "demo")
+    first = load_corpus(path)
     out = tmp_path / "resaved.jsonl"
     save_corpus(first.corpus, out)
-    second = load_corpus(out, "demo")
+    second = load_corpus(out)
     assert second.corpus == first.corpus
     assert second.invalid == []
     # a second round-trip reproduces the file byte for byte
@@ -143,7 +143,7 @@ def test_invalid_utf8_line_is_a_line_error(tmp_path):
     path = tmp_path / "corpus.jsonl"
     good = [record_line(tweet_id=f"t{i}").encode("utf-8") for i in (1, 2)]
     path.write_bytes(b"\n".join([good[0], b'{"text": "caf\xe9"}', good[1]]) + b"\n")
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert [r.tweet_id for r in result.corpus] == ["t1", "t2"]
     assert result.invalid == [LineError(2, "invalid UTF-8")]
 
@@ -151,7 +151,7 @@ def test_invalid_utf8_line_is_a_line_error(tmp_path):
 def test_leading_bom_is_stripped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(codecs.BOM_UTF8 + record_line().encode("utf-8") + b"\n")
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert [r.tweet_id for r in result.corpus] == ["t1"]
     assert result.invalid == []
 
@@ -181,7 +181,7 @@ def test_leading_bom_is_stripped(tmp_path):
 def test_hostile_line_is_a_line_error(tmp_path, line, reason):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join([record_line(tweet_id="t0"), line]) + "\n", encoding="utf-8")
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert [r.tweet_id for r in result.corpus] == ["t0"]
     assert result.invalid == [LineError(2, reason)]
 
@@ -189,7 +189,7 @@ def test_hostile_line_is_a_line_error(tmp_path, line, reason):
 def test_surrogate_pair_escape_and_unknown_key_surrogate_are_kept(corpus_file):
     # a pair of \u escapes is one astral character; an unknown key is never stored
     path = corpus_file([record_line(text="\U0001f600", extra="\ud800")])
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert result.invalid == []
     assert result.corpus.records[0].text == "\U0001f600"
 
@@ -201,7 +201,7 @@ def test_timestamp_drops_microseconds_after_conversion(corpus_file):
             record_line(tweet_id="t2", timestamp="2021-02-01T12:00:00.5"),
         ]
     )
-    t1, t2 = load_corpus(path, "demo").corpus.records
+    t1, t2 = load_corpus(path).corpus.records
     assert t1.timestamp == t2.timestamp == datetime(2021, 2, 1, 12, 0, 0, tzinfo=timezone.utc)
     assert t1.timestamp.microsecond == t2.timestamp.microsecond == 0
     assert t1.timestamp.tzinfo is t2.timestamp.tzinfo is timezone.utc
@@ -226,7 +226,7 @@ def test_unicode_line_separator_in_text_keeps_line_whole(tmp_path, separator):
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     assert [r.text for r in result.corpus] == [f"a{separator}b", "hello"]
     assert result.invalid == []
 
@@ -258,7 +258,7 @@ def test_save_then_load_round_trips_full_unicode(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         save_corpus(make_corpus(records), path)
-        result = load_corpus(path, "test")
+        result = load_corpus(path)
     assert result.corpus.records == records
     assert result.invalid == []
 
@@ -272,7 +272,6 @@ def test_filter_by_hashtag_direct_membership():
     )
     kept = filter_by_hashtag(corpus, "#WestBengal")
     assert [r.tweet_id for r in kept] == ["t1"]
-    assert kept.source_label == "westbengal"
 
 
 def test_filter_by_hashtag_no_match_is_empty():
@@ -294,7 +293,7 @@ def test_filter_rejects_empty_tag():
 def test_merge_corpora_dedups_across_files(corpus_file):
     p1 = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2")], name="a.jsonl")
     p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t3")], name="b.jsonl")
-    merged = merge_corpora([load_corpus(p1, "a"), load_corpus(p2, "b")], "all")
+    merged = merge_corpora([load_corpus(p1), load_corpus(p2)])
     assert [r.tweet_id for r in merged.corpus] == ["t1", "t2", "t3"]
 
 
@@ -327,7 +326,7 @@ def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
         record_line(tweet_id="t2"),
     ]
     path = corpus_file(lines)
-    result = load_corpus(path, "demo")
+    result = load_corpus(path)
     non_empty = sum(1 for line in lines if line.strip())
     assert len(result.corpus) + len(result.invalid) == non_empty
 
@@ -411,9 +410,9 @@ def test_load_corpus_matches_reference_ingestion(lines, padding):
         non_empty = len(records) + len(errors)
         if non_empty and len(errors) / non_empty > 0.5:
             with pytest.raises(CorpusFormatError):
-                load_corpus(path, "test")
+                load_corpus(path)
             return
-        result = load_corpus(path, "test")
+        result = load_corpus(path)
 
     def plain(fields):
         return fields[:3] + (fields[3].isoformat(), fields[3].tzinfo is timezone.utc) + fields[4:]

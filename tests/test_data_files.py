@@ -2,37 +2,30 @@
 
 from __future__ import annotations
 
-from herdpulse import (
-    load_default_lexicon,
-    load_default_negation_words,
-    load_default_stemmer_rules,
-    load_default_stopwords,
-)
+from herdpulse import default_config
+
+DEFAULTS = default_config()
 
 
 def test_lexicon_terms_are_stemmer_fixed_points():
     # a term the stemmer would rewrite could never match a pipeline token
-    rules = load_default_stemmer_rules()
-    lexicon = load_default_lexicon()
-    rewritten = {t for t in lexicon.entries if rules.stem(t) != t}
+    rules = DEFAULTS.stemmer_rules
+    rewritten = {t for t in DEFAULTS.lexicon if rules.stem(t) != t}
     assert rewritten == set()
 
 
 def test_lexicon_terms_lowercase_letters_only():
-    lexicon = load_default_lexicon()
-    assert all(t.isalpha() and t == t.lower() for t in lexicon.entries)
+    assert all(t.isalpha() and t == t.lower() for t in DEFAULTS.lexicon)
 
 
 def test_negation_words_survive_stopword_removal():
     # sentiment negation needs these tokens in the stream
-    assert load_default_negation_words() & load_default_stopwords() == frozenset()
+    assert DEFAULTS.negation_words & DEFAULTS.stopwords == frozenset()
 
 
 def test_stopwords_and_lexicon_disjoint():
-    lexicon = load_default_lexicon()
-    assert set(lexicon.entries) & load_default_stopwords() == set()
+    assert set(DEFAULTS.lexicon) & DEFAULTS.stopwords == set()
 
 
 def test_negation_words_not_scored_terms():
-    lexicon = load_default_lexicon()
-    assert set(lexicon.entries) & load_default_negation_words() == set()
+    assert set(DEFAULTS.lexicon) & DEFAULTS.negation_words == set()

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import SocialGraph, build_graph, clustering_stats, default_config, write_edgelist
+from herdpulse import build_graph, clustering_stats, default_config, write_edgelist
+from herdpulse.graph import SocialGraph
 from herdpulse import graph as graph_module
 from herdpulse import pipeline
 

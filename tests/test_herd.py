@@ -3,26 +3,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import (
+from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
+from herdpulse.herd import (
     AuthorProfile,
     CampAssignments,
     CampConfig,
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
     PredictionError,
-    SentimentScore,
-    TokenDoc,
     assign_corpus,
-    build_graph,
-    clustering_stats,
-    default_config,
     herd_report,
     predict,
     profile_authors,
-    score_tokens,
-    preprocess,
 )
+from herdpulse.preprocess import TokenDoc
+from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import make_corpus, make_record
 from .fixtures import clique_star_corpus
@@ -49,7 +42,7 @@ def score(tweet_id, polarity=0.0, subjectivity=0.5):
 
 
 def doc(tweet_id, tokens):
-    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens), raw_length=0)
+    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens))
 
 
 XY = CampConfig(camps={"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})})

@@ -1,0 +1,100 @@
+"""The package surface: its exports, the demos, the README example and its imports."""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+from xml.sax.saxutils import escape
+
+import pytest
+from hypothesis import given, strategies as st
+
+import herdpulse
+from herdpulse import svgplot
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+EXPORTS = {
+    "load_corpus",
+    "load_config",
+    "default_config",
+    "analyze_corpus",
+    "build_graph",
+    "clustering_stats",
+    "write_edgelist",
+    "preprocess",
+    "score_tokens",
+    "summarize",
+}
+# xml.sax.saxutils pulls these in through urllib; none is needed to run herdpulse
+NETWORK_MODULES = ("urllib.request", "http.client", "email", "ssl")
+
+
+def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        **kwargs,
+    )
+
+
+def _readme_library_imports() -> list[str]:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "herdpulse"
+        for alias in node.names
+    ]
+
+
+def test_package_exports_only_the_documented_names():
+    public = {
+        name
+        for name, value in vars(herdpulse).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == EXPORTS
+    assert herdpulse.__version__
+
+
+def test_readme_library_imports_resolve_from_the_package():
+    names = _readme_library_imports()
+    assert names  # the block still imports from herdpulse
+    assert set(names) <= EXPORTS
+    for name in names:
+        assert callable(getattr(herdpulse, name)), name
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs(demo):
+    proc = _python(str(demo), cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_cli_import_leaves_network_modules_unloaded():
+    proc = _python(
+        "-c",
+        "import sys, herdpulse.cli; "
+        f"print(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@given(st.text(alphabet=st.sampled_from("&<>\"' a;#xé"), max_size=30) | st.text(max_size=30))
+def test_svg_escape_matches_saxutils(text):
+    assert svgplot._escape(text) == escape(text)

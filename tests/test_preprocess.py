@@ -5,24 +5,21 @@ import importlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from herdpulse import (
+from herdpulse import default_config, preprocess
+from herdpulse.preprocess import (
     StemmerRules,
-    load_default_stemmer_rules,
-    load_default_stopwords,
+    StemRule,
     load_stemmer_rules,
     load_wordlist,
     normalize,
-    preprocess,
-    remove_stopwords,
-    tokenize,
 )
-from herdpulse.preprocess import StemRule
 
 from .conftest import make_record
 from .oracles import reference_normalize, reference_stem
 
-RULES = load_default_stemmer_rules()
-STOPWORDS = load_default_stopwords()
+DEFAULTS = default_config()
+RULES = DEFAULTS.stemmer_rules
+STOPWORDS = DEFAULTS.stopwords
 SHIPPED_TABLE = [(r.suffix, r.replacement, r.min_stem_length) for r in RULES.rules]
 # the module, not the ``preprocess`` function the package exports under that name
 PREPROCESS_MODULE = importlib.import_module("herdpulse.preprocess")
@@ -77,25 +74,6 @@ def test_normalize_output_alphabet(text):
     assert all(c == " " or "a" <= c <= "z" for c in out)
     assert "  " not in out
     assert out == out.strip()
-
-
-def test_tokenize_basic():
-    assert tokenize("vote now westbengal") == ["vote", "now", "westbengal"]
-    assert tokenize("") == []
-    assert tokenize("a  b") == ["a", "b"]
-
-
-def test_remove_stopwords_examples():
-    assert remove_stopwords(["the", "vote", "is", "now"], {"the", "is"}) == ["vote", "now"]
-    assert remove_stopwords([], {"the"}) == []
-    assert remove_stopwords(["vote"], set()) == ["vote"]
-
-
-@given(st.lists(st.sampled_from(["the", "vote", "is", "now", "win"]), max_size=30))
-def test_remove_stopwords_idempotent(tokens):
-    stoplist = {"the", "is"}
-    once = remove_stopwords(tokens, stoplist)
-    assert remove_stopwords(once, stoplist) == once
 
 
 def test_stem_examples():
@@ -159,7 +137,6 @@ def test_preprocess_full_pipeline():
     doc = preprocess(record, {"the", "are"}, RULES)
     # "coming" stems to "com" under the shipped rule table
     assert doc.tokens == ("election", "com", "westbengal")
-    assert doc.raw_length == len("The ELECTIONS are coming! #WestBengal")
     assert doc.tweet_id == record.tweet_id
 
 
@@ -181,10 +158,11 @@ def test_preprocess_deterministic():
 
 
 @given(st.text(max_size=120))
+@example("AMS")  # "ams" is no stopword, but its stem "am" is
 def test_token_count_bounded_by_fragments(text):
     record = make_record(text=text)
     doc = preprocess(record, STOPWORDS, RULES)
-    assert len(doc.tokens) <= len(tokenize(normalize(text)))
+    assert len(doc.tokens) <= len(normalize(text).split())
     assert all(token and token.isalpha() and token == token.lower() for token in doc.tokens)
     assert all(token not in STOPWORDS for token in doc.tokens)
 
@@ -245,7 +223,7 @@ def test_normalize_matches_fixed_point_oracle(text):
 
 
 def test_stem_rule_scan_runs_once_per_distinct_token():
-    rules = load_default_stemmer_rules()
+    rules = default_config().stemmer_rules  # a fresh instance, so an empty cache
     scanned = []
     apply_once = rules._apply_once
     rules._apply_once = lambda token: scanned.append(token) or apply_once(token)

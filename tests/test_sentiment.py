@@ -3,41 +3,33 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import (
-    Lexicon,
-    LexiconEntry,
-    LexiconError,
+from herdpulse import score_tokens, summarize
+from herdpulse.preprocess import TokenDoc
+from herdpulse.sentiment import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
+    LexiconError,
     SentimentScore,
-    TokenDoc,
     load_lexicon,
-    score_tokens,
-    summarize,
     truncate_percent,
 )
 
 NEGATIONS = frozenset({"not", "no", "never", "neither", "nor"})
 
 
-def lex(entries):
-    return Lexicon({term: LexiconEntry(term, p, s) for term, (p, s) in entries.items()})
-
-
 def doc(tokens, tweet_id="t1"):
-    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens), raw_length=0)
+    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens))
 
 
-GOOD_BAD = lex({"good": (0.7, 0.6), "bad": (-0.7, 0.6)})
+GOOD_BAD = {"good": (0.7, 0.6), "bad": (-0.7, 0.6)}
 
 
 def test_load_lexicon_single_entry(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("# demo\ngood\t0.7\t0.6\n", encoding="utf-8")
     lexicon = load_lexicon(path)
-    assert len(lexicon) == 1
-    assert lexicon["good"].polarity == 0.7
+    assert lexicon == {"good": (0.7, 0.6)}
 
 
 def test_load_lexicon_duplicate_fatal(tmp_path):
@@ -127,7 +119,7 @@ def random_lexicons(draw):
         polarity = draw(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
         subjectivity = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
         entries[term] = (polarity, subjectivity)
-    return lex(entries)
+    return entries
 
 
 @given(tokens=token_strategy, lexicon=random_lexicons())
