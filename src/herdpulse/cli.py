@@ -7,12 +7,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, load_config
 from .corpus import CorpusFormatError, LoadResult, filter_by_hashtag, load_corpus, merge_corpora
-from .pipeline import RunInfo, analyze_corpus, formatted_scores, score_corpus, scores_csv, write_bundle
+from .pipeline import (
+    NO_CAMP_SIGNAL,
+    RunInfo,
+    analyze_corpus,
+    formatted_scores,
+    score_corpus,
+    scores_csv,
+    write_bundle,
+)
 from .svgplot import render_scatter
 
 EXIT_OK = 0
@@ -35,15 +46,13 @@ def _fail(message: str) -> None:
 
 def _load_inputs(paths: list[str], hashtag: str | None) -> tuple[LoadResult, int]:
     """Load and merge corpus files; returns (result, pre-filter record count)."""
-    results = [load_corpus(path) for path in paths]
-    merged = results[0] if len(results) == 1 else merge_corpora(results)
+    merged = merge_corpora([load_corpus(path) for path in paths])
     loaded = len(merged.corpus.records)
     if hashtag:
-        merged = LoadResult(
-            corpus=filter_by_hashtag(merged.corpus, hashtag),
-            invalid=merged.invalid,
-            unknown_key_count=merged.unknown_key_count,
-        )
+        try:
+            merged = replace(merged, corpus=filter_by_hashtag(merged.corpus, hashtag))
+        except ValueError as err:
+            raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
     return merged, loaded
 
 
@@ -67,9 +76,6 @@ def cmd_validate(args) -> int:
             _fail(str(err))
             status = max(status, EXIT_DATA)
             continue
-        except OSError as err:
-            _fail(str(err))
-            return EXIT_IO
         for entry in result.invalid:
             print(f"{path}:{entry.line_no}: {entry.reason}")
         if result.unknown_key_count:
@@ -81,16 +87,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    try:
-        config = _resolve_config(args.config)
-        result, _ = _load_inputs(args.corpus, args.hashtag)
-    except (ConfigError, OSError) as err:
-        _fail(str(err))
-        return EXIT_IO
-    except CorpusFormatError as err:
-        _fail(str(err))
-        return EXIT_DATA
-
+    config = _resolve_config(args.config)
+    result, _ = _load_inputs(args.corpus, args.hashtag)
     _, scores, summary = score_corpus(result.corpus, config)
 
     out = Path(args.out)
@@ -101,16 +99,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        config = _resolve_config(args.config)
-        loaded, pre_filter = _load_inputs(args.corpus, args.hashtag)
-    except (ConfigError, OSError) as err:
-        _fail(str(err))
-        return EXIT_IO
-    except CorpusFormatError as err:
-        _fail(str(err))
-        return EXIT_DATA
-
+    config = _resolve_config(args.config)
+    loaded, pre_filter = _load_inputs(args.corpus, args.hashtag)
     if not loaded.corpus.records:
         _fail("corpus is empty after loading/filtering; nothing to analyze")
         return EXIT_DATA
@@ -131,15 +121,37 @@ def cmd_analyze(args) -> int:
         winner = result.prediction.winner if result.prediction.winner else "undecided"
         print(f"predicted winner: {winner}")
         return EXIT_OK
-    print(f"prediction: {result.prediction_error}")
+    print(f"prediction: {NO_CAMP_SIGNAL}")
     return EXIT_DATA
 
 
 def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
+    """Header and rows of finite numbers; raises ValueError as ``path:line: reason``.
+
+    Rows are converted and checked in bulk, which keeps the check off the
+    per-row path of a large series; only a failing file is scanned row by row
+    to name its first bad line.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if not header:
+                raise ValueError(f"{path}:1: no header")
+            try:
+                rows = [[float(cell) for cell in row] for row in reader]
+            except UnicodeDecodeError:
+                raise
+            except ValueError as err:
+                raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not valid UTF-8") from None
+    width = len(header)
+    if set(map(len, rows)) - {width} or not all(map(math.isfinite, chain.from_iterable(rows))):
+        number, row = next(
+            (n, row) for n, row in enumerate(rows, 2) if len(row) != width or not all(map(math.isfinite, row))
+        )
+        raise ValueError(f"{path}:{number}: expected {width} finite numbers, got {row}")
     return header, rows
 
 
@@ -155,7 +167,12 @@ def cmd_plot(args) -> int:
             _fail(f"missing CSV: {source}")
             status = EXIT_DATA
             continue
-        header, rows = _read_series_csv(source)
+        try:
+            header, rows = _read_series_csv(source)
+        except ValueError as err:
+            _fail(str(err))
+            status = EXIT_DATA
+            continue
         series = []
         for column in range(1, len(header)):
             points = [(row[0], row[column]) for row in rows]
@@ -201,8 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a config or I/O failure exits 2, an unusable corpus file 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as err:
+        _fail(str(err))
+        return EXIT_IO
+    except CorpusFormatError as err:
+        _fail(str(err))
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

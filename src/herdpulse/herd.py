@@ -24,10 +24,6 @@ DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
 DEFAULT_HERD_THRESHOLD = 0.0
 
 
-class PredictionError(ValueError):
-    """Raised when no camp received a single tweet."""
-
-
 class AuthorProfile(NamedTuple):
     author_id: str
     mean_subjectivity: float
@@ -187,7 +183,7 @@ def herd_report(
         global_mean_clustering=overall,
         herd_index=herd_index,
         herd_flag=herd_flag,
-        threshold=threshold,
+        threshold=float(threshold),
     )
 
 
@@ -224,12 +220,12 @@ def predict(
     scores: list[SentimentScore],
     assignments: CampAssignments,
     herd: HerdReport,
-) -> PredictionReport:
+) -> PredictionReport | None:
     """Rank camps by support score S = (positive - negative) / assigned.
 
     Ties at the top leave the winner undecided; fewer than two camps with
-    assigned tweets marks the report degenerate. Raises
-    :class:`PredictionError` when no tweet was assigned to any camp.
+    assigned tweets marks the report degenerate. Returns ``None`` when no
+    tweet was assigned to any camp.
     """
     per_camp: dict[str, list[SentimentScore]] = {}
     for score in scores:
@@ -238,7 +234,7 @@ def predict(
             per_camp.setdefault(camp, []).append(score)
 
     if not per_camp:
-        raise PredictionError("no camp signal")
+        return None
 
     scored = []
     for camp_id in sorted(per_camp):

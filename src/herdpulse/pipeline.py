@@ -28,9 +28,8 @@ from .herd import (
     herd_report,
     predict,
     profile_authors,
-    PredictionError,
 )
-from .preprocess import TokenDoc, preprocess
+from .preprocess import preprocess
 from .sentiment import CorpusSummary, SentimentScore, score_tokens, summarize
 
 PIPELINE_VERSION = f"herdpulse {__version__}"
@@ -47,8 +46,6 @@ def fixed(value: float) -> str:
 
 @dataclass
 class AnalysisResult:
-    corpus: Corpus
-    docs: list[TokenDoc]
     scores: list[SentimentScore]
     summary: CorpusSummary
     graph: SocialGraph
@@ -57,7 +54,6 @@ class AnalysisResult:
     herd: HerdReport
     assignments: CampAssignments
     prediction: PredictionReport | None
-    prediction_error: str | None
 
 
 def score_corpus(corpus: Corpus, config: RunConfig):
@@ -70,8 +66,8 @@ def score_corpus(corpus: Corpus, config: RunConfig):
 def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     """Run the full pipeline: scoring, graph, herd report, camp prediction.
 
-    A corpus without any camp-assignable tweet does not abort the run; the
-    prediction slot carries the :data:`NO_CAMP_SIGNAL` marker instead.
+    A corpus without any camp-assignable tweet does not abort the run: the
+    prediction is ``None`` and ``prediction.json`` carries :data:`NO_CAMP_SIGNAL`.
     """
     docs, scores, summary = score_corpus(corpus, config)
     graph = build_graph(corpus)
@@ -84,16 +80,7 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     else:
         assignments = CampAssignments(unassigned_count=len(docs))
 
-    prediction: PredictionReport | None = None
-    prediction_error: str | None = None
-    try:
-        prediction = predict(scores, assignments, herd)
-    except PredictionError as err:
-        prediction_error = str(err)
-
     return AnalysisResult(
-        corpus=corpus,
-        docs=docs,
         scores=scores,
         summary=summary,
         graph=graph,
@@ -101,8 +88,7 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
         profiles=profiles,
         herd=herd,
         assignments=assignments,
-        prediction=prediction,
-        prediction_error=prediction_error,
+        prediction=predict(scores, assignments, herd),
     )
 
 
@@ -114,8 +100,21 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+def _plain(value):
+    """The JSON form of a report value: records become objects, floats ``fixed`` strings."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, float):
+        return fixed(value)
+    return value
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def formatted_scores(scores: list[SentimentScore]) -> list[tuple[str, str, str]]:
@@ -130,63 +129,15 @@ def scores_csv(scores: list[SentimentScore], rows: list[tuple[str, str, str]]) -
     )
 
 
-def _herd_json(herd: HerdReport) -> str:
-    return _json_text(
-        {
-            "bands": [
-                {
-                    "low": fixed(band.low),
-                    "high": fixed(band.high),
-                    "count": band.count,
-                    "mean_clustering": fixed(band.mean_clustering),
-                }
-                for band in herd.bands
-            ],
-            "global_mean_clustering": fixed(herd.global_mean_clustering),
-            "herd_index": fixed(herd.herd_index),
-            "herd_flag": herd.herd_flag,
-            "threshold": fixed(herd.threshold),
-        }
-    )
-
-
 def _prediction_json(result: AnalysisResult, config: RunConfig) -> str:
     if result.prediction is None:
-        return _json_text(
-            {
-                "error": result.prediction_error,
-                "tie_count": result.assignments.tie_count,
-                "unassigned_count": result.assignments.unassigned_count,
-            }
-        )
-    report = result.prediction
-    obj = {
-        "camps": [
-            {
-                "camp_id": camp.camp_id,
-                "rank": camp.rank,
-                "tweet_count": camp.tweet_count,
-                "positive": camp.positive,
-                "negative": camp.negative,
-                "neutral": camp.neutral,
-                "positive_pct": camp.positive_pct,
-                "negative_pct": camp.negative_pct,
-                "neutral_pct": camp.neutral_pct,
-                "support": fixed(camp.support),
-            }
-            for camp in report.camps
-        ],
-        "winner": report.winner,
-        "margin": fixed(report.margin),
-        "undecided": report.undecided,
-        "degenerate": report.degenerate,
-        "herd_index": fixed(report.herd_index),
-        "herd_flag": report.herd_flag,
-        "tie_count": result.assignments.tie_count,
-        "unassigned_count": result.assignments.unassigned_count,
-    }
-    if config.reference_shares:
-        obj["reference_shares"] = dict(sorted(config.reference_shares.items()))
+        obj = {"error": NO_CAMP_SIGNAL}
+    else:
+        obj = result.prediction._asdict()
+        if config.reference_shares:
+            obj["reference_shares"] = config.reference_shares
+    obj["tie_count"] = result.assignments.tie_count
+    obj["unassigned_count"] = result.assignments.unassigned_count
     return _json_text(obj)
 
 
@@ -205,8 +156,8 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
         {
             "nodes": len(result.graph),
             "edges": result.graph.edge_count(),
-            "mean_clustering": fixed(stats.mean_clustering),
-            "global_clustering": fixed(stats.global_clustering),
+            "mean_clustering": stats.mean_clustering,
+            "global_clustering": stats.global_clustering,
         }
     )
     files["degree_distribution.csv"] = _csv_text(
@@ -225,7 +176,7 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
         ["index", "subjectivity", "polarity"],
         [[i, subjectivity, polarity] for i, polarity, subjectivity in rows],
     )
-    files["herd_report.json"] = _herd_json(result.herd)
+    files["herd_report.json"] = _json_text(result.herd)
     files["prediction.json"] = _prediction_json(result, config)
     return files
 

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from herdpulse.cli import main
+from herdpulse.herd import BandStat, CampResult, HerdReport, PredictionReport
 
 from .conftest import record_line
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = str(REPO / "demos" / "data" / "demo_tweets.jsonl")
 DEMO_CONFIG = str(REPO / "demos" / "data" / "demo_config.json")
+GOLDEN_BUNDLE = str(REPO / "tests" / "goldens" / "demo_bundle")
 
 BUNDLE_NAMES = [
     "scores.csv",
@@ -277,12 +279,51 @@ def test_analyze_without_camps_marks_no_camp_signal(tmp_path, capsys):
     out_dir = tmp_path / "bundle"
     code = main(["analyze", "--corpus", corpus, "--out", str(out_dir)])
     assert code == 1
-    prediction = json.loads((out_dir / "prediction.json").read_text(encoding="utf-8"))
-    assert prediction["error"] == "no camp signal"
+    assert (out_dir / "prediction.json").read_bytes() == (
+        b'{\n  "error": "no camp signal",\n  "tie_count": 0,\n  "unassigned_count": 3\n}\n'
+    )
     # the rest of the bundle is still emitted
     for name in BUNDLE_NAMES:
         assert (out_dir / name).exists(), name
     assert "no camp signal" in capsys.readouterr().out
+
+
+def test_bundle_json_keys_are_the_record_fields(tmp_path):
+    out_dir = tmp_path / "bundle"
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out_dir)]) == 0
+    herd = json.loads((out_dir / "herd_report.json").read_text(encoding="utf-8"))
+    assert set(herd) == set(HerdReport._fields)
+    assert [set(band) for band in herd["bands"]] == [set(BandStat._fields)] * 3
+    prediction = json.loads((out_dir / "prediction.json").read_text(encoding="utf-8"))
+    extra = {"tie_count", "unassigned_count", "reference_shares"}
+    assert set(prediction) == set(PredictionReport._fields) | extra
+    assert [set(camp) for camp in prediction["camps"]] == [set(CampResult._fields)] * 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "score"])
+def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    code = main([command, "--corpus", DEMO_CORPUS, "--hashtag", "#", "--out", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --hashtag '#': tag must be non-empty after stripping '#'\n"
+    assert not out_dir.exists()
+
+
+OUT_IS_A_FILE = {
+    "analyze": ["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out"],
+    "score": ["score", "--corpus", DEMO_CORPUS, "--out"],
+    "plot": ["plot", GOLDEN_BUNDLE, "--out"],
+    "plot_bundle": ["plot"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_IS_A_FILE))
+def test_output_path_is_a_file_is_io_failure(tmp_path, capsys, case):
+    target = tmp_path / "taken"
+    target.write_text("keep\n", encoding="utf-8")
+    assert main([*OUT_IS_A_FILE[case], str(target)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{target}'\n"
+    assert target.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_analyze_merges_multiple_corpora(tmp_path):
@@ -340,6 +381,31 @@ def test_plot_partial_bundle_continues(tmp_path, capsys):
     assert (bundle / "polarity_series.svg").exists()
     assert "missing CSV" in captured.err
     assert len(list(bundle.glob("*.svg"))) == 2
+
+
+BAD_SERIES = {
+    "empty": (b"", "1: no header"),
+    "not_a_number": (b"index,polarity\n0,0.5\n1,abc\n", "3: could not convert string to float: 'abc'"),
+    "nan": (b"index,polarity\n0,nan\n", "2: expected 2 finite numbers, got [0.0, nan]"),
+    "inf": (b"index,polarity\n0,0.5\n1,-inf\n", "3: expected 2 finite numbers, got [1.0, -inf]"),
+    "short_row": (b"index,polarity\n0,0.5\n1\n", "3: expected 2 finite numbers, got [1.0]"),
+    "blank_line": (b"index,polarity\n0,0.5\n\n1,0.2\n", "3: expected 2 finite numbers, got []"),
+    "not_utf8": (b"index,polarity\n0,\xff\n", " not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERIES))
+def test_plot_bad_series_csv_continues(tmp_path, capsys, case):
+    content, reason = BAD_SERIES[case]
+    bundle = tmp_path / "bad"
+    bundle.mkdir()
+    (bundle / "ck_curve.csv").write_text("degree,mean_clustering\n2,1.000000\n", encoding="utf-8")
+    (bundle / "polarity_series.csv").write_bytes(content)
+    code = main(["plot", str(bundle)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {bundle / 'polarity_series.csv'}:{reason}\n" in err
+    assert sorted(p.name for p in bundle.glob("*.svg")) == ["ck_curve.svg"]
 
 
 def test_module_entry_point_subprocess():

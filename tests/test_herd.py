@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,12 +10,12 @@ from herdpulse.herd import (
     AuthorProfile,
     CampAssignments,
     CampConfig,
-    PredictionError,
     assign_corpus,
     herd_report,
     predict,
     profile_authors,
 )
+from herdpulse.pipeline import analyze_corpus, bundle_files
 from herdpulse.preprocess import TokenDoc
 from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
@@ -104,6 +106,13 @@ def test_herd_report_empty_top_band():
     report = herd_report(profiles)
     assert report.herd_index == 0.0
     assert report.herd_flag is False
+
+
+def test_herd_report_integer_threshold_renders_as_fixed_point():
+    assert type(herd_report([profile("a", 0.9, 1.0)], threshold=0).threshold) is float
+    config = replace(default_config(), herd_threshold=0)
+    files = bundle_files(analyze_corpus(clique_star_corpus(), config), config)
+    assert '"threshold": "0.000000"' in files["herd_report.json"]
 
 
 def test_herd_report_band_edges_validation():
@@ -230,9 +239,8 @@ def test_predict_single_camp_degenerate():
     assert len(report.camps) == 1
 
 
-def test_predict_no_assignments_raises():
-    with pytest.raises(PredictionError, match="no camp signal"):
-        predict([score("t1")], make_assignments({}), neutral_herd())
+def test_predict_no_assignments_returns_none():
+    assert predict([score("t1")], make_assignments({}), neutral_herd()) is None
 
 
 def test_predict_camp_relabeling_symmetry():

@@ -48,13 +48,16 @@ def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     )
 
 
-def _readme_library_imports() -> list[str]:
+def _readme_library_code() -> str:
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _readme_library_imports() -> list[str]:
     return [
         alias.name
-        for node in ast.walk(ast.parse(code))
+        for node in ast.walk(ast.parse(_readme_library_code()))
         if isinstance(node, ast.ImportFrom) and node.module == "herdpulse"
         for alias in node.names
     ]
@@ -76,6 +79,12 @@ def test_readme_library_imports_resolve_from_the_package():
     assert set(names) <= EXPORTS
     for name in names:
         assert callable(getattr(herdpulse, name)), name
+
+
+def test_readme_library_example_runs():
+    proc = _python("-c", _readme_library_code(), cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].endswith(" X")  # the demo's predicted winner
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
