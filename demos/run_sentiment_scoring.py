@@ -14,7 +14,7 @@ DATA = Path(__file__).parent / "data"
 
 # 1. Ingest. Every line is validated; bad lines would be listed, not dropped.
 result = load_corpus(DATA / "demo_tweets.jsonl")
-print(f"loaded {len(result.corpus)} tweets, {len(result.invalid)} invalid lines")
+print(f"loaded {len(result.corpus.records)} tweets, {len(result.invalid)} invalid lines")
 
 config = default_config()
 

@@ -9,7 +9,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -48,9 +47,9 @@ def _load_inputs(paths: list[str], hashtag: str | None) -> tuple[LoadResult, int
     """Load and merge corpus files; returns (result, pre-filter record count)."""
     merged = merge_corpora([load_corpus(path) for path in paths])
     loaded = len(merged.corpus.records)
-    if hashtag:
+    if hashtag is not None:
         try:
-            merged = replace(merged, corpus=filter_by_hashtag(merged.corpus, hashtag))
+            merged = merged._replace(corpus=filter_by_hashtag(merged.corpus, hashtag))
         except ValueError as err:
             raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
     return merged, loaded
@@ -157,6 +156,9 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 
 def cmd_plot(args) -> int:
     bundle = Path(args.bundle_dir)
+    if not bundle.exists():
+        _fail(f"no such bundle directory: {bundle}")
+        return EXIT_IO
     out = Path(args.out) if args.out else bundle
     out.mkdir(parents=True, exist_ok=True)
 

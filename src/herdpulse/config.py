@@ -18,10 +18,10 @@ Relative paths are resolved against the directory of the config file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, CampConfig, check_band_edges
+from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
 from .preprocess import StemmerRules, load_stemmer_rules, load_wordlist
 from .sentiment import Lexicon, load_lexicon
 
@@ -30,11 +30,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     band_edges: tuple[float, ...]
     herd_threshold: float
-    camps: CampConfig | None
+    camps: dict[str, frozenset[str]] | None  # camp id -> lowercase keywords
     stopwords: frozenset[str]
     stemmer_rules: StemmerRules
     negation_words: frozenset[str]
@@ -107,15 +106,19 @@ def _build_config(raw: dict, base: Path) -> RunConfig:
         camps_raw = raw["camps"]
         if not isinstance(camps_raw, dict):
             raise ConfigError("camps must be an object of camp_id -> keyword array")
-        camps = {}
+        if not camps_raw:
+            raise ConfigError("at least one camp required")
         for camp_id, keywords in camps_raw.items():
             if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
                 raise ConfigError(f"camp {camp_id!r}: keywords must be an array of strings")
-            camps[str(camp_id)] = frozenset(keywords)
-        try:
-            config["camps"] = CampConfig(camps=camps)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+            if not camp_id:
+                raise ConfigError("empty camp id")
+            if not keywords:
+                raise ConfigError(f"camp {camp_id!r} has no keywords")
+            for word in keywords:
+                if word != word.lower():
+                    raise ConfigError(f"camp {camp_id!r} keyword not lowercase: {word!r}")
+        config["camps"] = {camp_id: frozenset(keywords) for camp_id, keywords in camps_raw.items()}
 
     for key, (field, loader, packaged) in _DATA_FILES.items():
         file = _resolve(base, raw[key]) if key in raw else default_data_path(packaged)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import codecs
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -53,17 +52,10 @@ class TweetRecord(NamedTuple):
     follower_count: int
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Ordered, duplicate-free record list; order is ingestion order."""
 
     records: tuple[TweetRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 class LineError(NamedTuple):
@@ -71,13 +63,12 @@ class LineError(NamedTuple):
     reason: str
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     """Outcome of loading one corpus file: records plus per-line errors."""
 
     corpus: Corpus
-    invalid: list[LineError] = field(default_factory=list)
-    unknown_key_count: int = 0
+    invalid: list[LineError]
+    unknown_key_count: int
 
 
 def _parse_timestamp(value) -> datetime:

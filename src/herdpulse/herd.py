@@ -13,12 +13,11 @@ along as context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .corpus import Corpus, TweetRecord
 from .preprocess import TokenDoc
-from .sentiment import NEGATIVE, POSITIVE, SentimentScore, truncate_percent
+from .sentiment import SentimentScore, summarize
 
 DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
 DEFAULT_HERD_THRESHOLD = 0.0
@@ -47,30 +46,10 @@ class HerdReport(NamedTuple):
     threshold: float
 
 
-@dataclass(frozen=True)
-class CampConfig:
-    """Keyword-defined camps; keywords are matched against tokens and hashtags."""
-
-    camps: dict[str, frozenset[str]]
-
-    def __post_init__(self):
-        if not self.camps:
-            raise ValueError("at least one camp required")
-        for camp_id, keywords in self.camps.items():
-            if not camp_id:
-                raise ValueError("empty camp id")
-            if not keywords:
-                raise ValueError(f"camp {camp_id!r} has no keywords")
-            for word in keywords:
-                if word != word.lower():
-                    raise ValueError(f"camp {camp_id!r} keyword not lowercase: {word!r}")
-
-
-@dataclass
-class CampAssignments:
-    by_tweet: dict[str, str] = field(default_factory=dict)
-    tie_count: int = 0
-    unassigned_count: int = 0
+class CampAssignments(NamedTuple):
+    by_tweet: dict[str, str]
+    tie_count: int
+    unassigned_count: int
 
 
 class CampResult(NamedTuple):
@@ -187,33 +166,34 @@ def herd_report(
     )
 
 
-def camp_hits(doc: TokenDoc, record: TweetRecord, camps: CampConfig) -> dict[str, int]:
+def camp_hits(doc: TokenDoc, record: TweetRecord, camps: dict[str, frozenset[str]]) -> dict[str, int]:
     matchable = set(doc.tokens) | set(record.hashtags)
-    return {camp_id: len(keywords & matchable) for camp_id, keywords in camps.camps.items()}
+    return {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
 
 
 def assign_corpus(
-    docs: list[TokenDoc], records: list[TweetRecord], camps: CampConfig
+    docs: list[TokenDoc], records: list[TweetRecord], camps: dict[str, frozenset[str]]
 ) -> CampAssignments:
     """Assign every tweet to the camp with the most keyword hits.
 
     Zero hits or a tie for the most hits leaves a tweet unassigned; ties are
     also counted on their own.
     """
-    assignments = CampAssignments()
+    by_tweet: dict[str, str] = {}
+    tie_count = unassigned_count = 0
     for doc, record in zip(docs, records):
         hits = camp_hits(doc, record, camps)
         best = max(hits.values())
         if best == 0:
-            assignments.unassigned_count += 1
+            unassigned_count += 1
             continue
         leaders = [camp_id for camp_id, n in hits.items() if n == best]
         if len(leaders) > 1:
-            assignments.tie_count += 1
-            assignments.unassigned_count += 1
+            tie_count += 1
+            unassigned_count += 1
             continue
-        assignments.by_tweet[doc.tweet_id] = leaders[0]
-    return assignments
+        by_tweet[doc.tweet_id] = leaders[0]
+    return CampAssignments(by_tweet, tie_count, unassigned_count)
 
 
 def predict(
@@ -237,38 +217,29 @@ def predict(
         return None
 
     scored = []
-    for camp_id in sorted(per_camp):
-        own = per_camp[camp_id]
-        positive = sum(1 for s in own if s.label == POSITIVE)
-        negative = sum(1 for s in own if s.label == NEGATIVE)
-        neutral = len(own) - positive - negative
-        support = (positive - negative) / len(own)
-        scored.append((camp_id, len(own), positive, negative, neutral, support))
+    for camp_id, own in per_camp.items():
+        summary = summarize(own)
+        scored.append((camp_id, summary, (summary.positive - summary.negative) / summary.total))
 
-    # stable ranking: support descending, camp id as deterministic tiebreak
-    scored.sort(key=lambda row: (-row[5], row[0]))
-
-    camps = []
-    rank = 0
-    previous_support: float | None = None
-    for position, (camp_id, count, positive, negative, neutral, support) in enumerate(scored, 1):
-        if previous_support is None or support != previous_support:
-            rank = position
-        previous_support = support
-        camps.append(
-            CampResult(
-                camp_id=camp_id,
-                rank=rank,
-                tweet_count=count,
-                positive=positive,
-                negative=negative,
-                neutral=neutral,
-                positive_pct=truncate_percent(positive, count),
-                negative_pct=truncate_percent(negative, count),
-                neutral_pct=truncate_percent(neutral, count),
-                support=support,
-            )
+    # stable ranking: support descending, camp id as deterministic tiebreak;
+    # camps with equal support share the rank of the first of them
+    scored.sort(key=lambda row: (-row[2], row[0]))
+    supports = [support for _, _, support in scored]
+    camps = [
+        CampResult(
+            camp_id=camp_id,
+            rank=supports.index(support) + 1,
+            tweet_count=summary.total,
+            positive=summary.positive,
+            negative=summary.negative,
+            neutral=summary.neutral,
+            positive_pct=summary.positive_pct,
+            negative_pct=summary.negative_pct,
+            neutral_pct=summary.neutral_pct,
+            support=support,
         )
+        for camp_id, summary, support in scored
+    ]
 
     degenerate = len(camps) < 2
     undecided = len(camps) >= 2 and camps[0].support == camps[1].support

@@ -13,8 +13,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig
@@ -44,8 +44,7 @@ def fixed(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     scores: list[SentimentScore]
     summary: CorpusSummary
     graph: SocialGraph
@@ -78,7 +77,7 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     if config.camps is not None:
         assignments = assign_corpus(docs, list(corpus.records), config.camps)
     else:
-        assignments = CampAssignments(unassigned_count=len(docs))
+        assignments = CampAssignments({}, 0, len(docs))
 
     return AnalysisResult(
         scores=scores,
@@ -181,8 +180,7 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
     return files
 
 
-@dataclass
-class RunInfo:
+class RunInfo(NamedTuple):
     """Provenance recorded in the manifest: input paths and pre-analysis counts."""
 
     config_path: str | None

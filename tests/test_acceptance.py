@@ -145,7 +145,7 @@ def test_criterion_4_herd_fixture():
 
 def _camp_fixture(scale: int):
     scores = []
-    assignments = CampAssignments()
+    assignments = CampAssignments({}, 0, 0)
 
     def add(camp, kind, count, polarity, label):
         for i in range(count * scale):

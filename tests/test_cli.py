@@ -300,12 +300,22 @@ def test_bundle_json_keys_are_the_record_fields(tmp_path):
     assert [set(camp) for camp in prediction["camps"]] == [set(CampResult._fields)] * 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "score"])
-def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, command):
+# case -> (command, --hashtag value, reason)
+NO_TAG = {
+    "analyze": ("analyze", "#", "tag must be non-empty after stripping '#'"),
+    "score": ("score", "#", "tag must be non-empty after stripping '#'"),
+    "analyze_empty": ("analyze", "", "tag must be non-empty"),
+    "score_empty": ("score", "", "tag must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_TAG))
+def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, case):
+    command, tag, reason = NO_TAG[case]
     out_dir = tmp_path / "out"
-    code = main([command, "--corpus", DEMO_CORPUS, "--hashtag", "#", "--out", str(out_dir)])
+    code = main([command, "--corpus", DEMO_CORPUS, "--hashtag", tag, "--out", str(out_dir)])
     assert code == 2
-    assert capsys.readouterr().err == "error: --hashtag '#': tag must be non-empty after stripping '#'\n"
+    assert capsys.readouterr().err == f"error: --hashtag {tag!r}: {reason}\n"
     assert not out_dir.exists()
 
 
@@ -381,6 +391,13 @@ def test_plot_partial_bundle_continues(tmp_path, capsys):
     assert (bundle / "polarity_series.svg").exists()
     assert "missing CSV" in captured.err
     assert len(list(bundle.glob("*.svg"))) == 2
+
+
+def test_plot_missing_bundle_dir_is_io_failure(tmp_path, capsys):
+    bundle = tmp_path / "nodir"
+    assert main(["plot", str(bundle)]) == 2
+    assert capsys.readouterr().err == f"error: no such bundle directory: {bundle}\n"
+    assert not bundle.exists()
 
 
 BAD_SERIES = {

@@ -43,7 +43,7 @@ def test_config_with_bom_loads_like_plain(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"herd_threshold": 0.25, "camps": {"x": ["vote"]}}).encode())
     config = load_config(path)
     assert config.herd_threshold == 0.25
-    assert config.camps.camps == {"x": frozenset({"vote"})}
+    assert config.camps == {"x": frozenset({"vote"})}
 
 
 def test_config_bom_before_invalid_utf8_is_still_an_encoding_error(tmp_path):
@@ -51,3 +51,21 @@ def test_config_bom_before_invalid_utf8_is_still_an_encoding_error(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf{}\xff")
     with pytest.raises(ConfigError, match=r": not valid UTF-8$"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "camps, message",
+    [
+        ({}, "at least one camp required"),
+        ({"": ["x"]}, "empty camp id"),
+        ({"X": []}, "camp 'X' has no keywords"),
+        ({"X": ["PartyX"]}, "camp 'X' keyword not lowercase: 'PartyX'"),
+        ({"X": "partyx"}, "camp 'X': keywords must be an array of strings"),
+    ],
+)
+def test_bad_camps_are_config_errors(tmp_path, camps, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"camps": camps}), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message

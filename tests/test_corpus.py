@@ -28,9 +28,9 @@ from .oracles import reference_load_lines
 def test_three_valid_lines(corpus_file):
     path = corpus_file([record_line(tweet_id=f"t{i}") for i in range(3)])
     result = load_corpus(path)
-    assert len(result.corpus) == 3
+    assert len(result.corpus.records) == 3
     assert result.invalid == []
-    assert [r.tweet_id for r in result.corpus] == ["t0", "t1", "t2"]
+    assert [r.tweet_id for r in result.corpus.records] == ["t0", "t1", "t2"]
 
 
 def test_missing_tweet_id_reported_with_line_number(corpus_file):
@@ -38,7 +38,7 @@ def test_missing_tweet_id_reported_with_line_number(corpus_file):
     del bad["tweet_id"]
     path = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2"), json.dumps(bad)])
     result = load_corpus(path)
-    assert len(result.corpus) == 2
+    assert len(result.corpus.records) == 2
     assert len(result.invalid) == 1
     assert result.invalid[0].line_no == 3
     assert "tweet_id" in result.invalid[0].reason
@@ -47,7 +47,7 @@ def test_missing_tweet_id_reported_with_line_number(corpus_file):
 def test_duplicate_tweet_id_keeps_first(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", text="first"), record_line(tweet_id="t1", text="second")])
     result = load_corpus(path)
-    assert len(result.corpus) == 1
+    assert len(result.corpus.records) == 1
     assert result.corpus.records[0].text == "first"
     assert result.invalid[0].line_no == 2
     assert "duplicate" in result.invalid[0].reason
@@ -67,14 +67,14 @@ def test_mostly_invalid_file_is_fatal(corpus_file):
 def test_invalid_json_and_non_object_lines(corpus_file):
     path = corpus_file([record_line(), record_line(tweet_id="t2"), '"just a string"'])
     result = load_corpus(path)
-    assert len(result.corpus) == 2
+    assert len(result.corpus.records) == 2
     assert result.invalid[0].line_no == 3
 
 
 def test_unknown_keys_counted_not_fatal(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", lang="en", source="web")])
     result = load_corpus(path)
-    assert len(result.corpus) == 1
+    assert len(result.corpus.records) == 1
     assert result.unknown_key_count == 2
 
 
@@ -87,7 +87,7 @@ def test_hashtags_normalized_lowercase_no_hash(corpus_file):
 def test_hashtag_with_whitespace_rejected(corpus_file):
     path = corpus_file([record_line(tweet_id="ok"), record_line(tweet_id="bad", hashtags=["west bengal"])])
     result = load_corpus(path)
-    assert len(result.corpus) == 1
+    assert len(result.corpus.records) == 1
     assert "hashtag" in result.invalid[0].reason
 
 
@@ -114,7 +114,7 @@ def test_timestamp_formats(corpus_file):
         ]
     )
     result = load_corpus(path)
-    assert len(result.corpus) == 3
+    assert len(result.corpus.records) == 3
     t1, t2, t3 = result.corpus.records
     assert t1.timestamp == t2.timestamp == t3.timestamp
     assert "timestamp" in result.invalid[0].reason
@@ -144,7 +144,7 @@ def test_invalid_utf8_line_is_a_line_error(tmp_path):
     good = [record_line(tweet_id=f"t{i}").encode("utf-8") for i in (1, 2)]
     path.write_bytes(b"\n".join([good[0], b'{"text": "caf\xe9"}', good[1]]) + b"\n")
     result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus] == ["t1", "t2"]
+    assert [r.tweet_id for r in result.corpus.records] == ["t1", "t2"]
     assert result.invalid == [LineError(2, "invalid UTF-8")]
 
 
@@ -152,7 +152,7 @@ def test_leading_bom_is_stripped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(codecs.BOM_UTF8 + record_line().encode("utf-8") + b"\n")
     result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus] == ["t1"]
+    assert [r.tweet_id for r in result.corpus.records] == ["t1"]
     assert result.invalid == []
 
 
@@ -182,7 +182,7 @@ def test_hostile_line_is_a_line_error(tmp_path, line, reason):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join([record_line(tweet_id="t0"), line]) + "\n", encoding="utf-8")
     result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus] == ["t0"]
+    assert [r.tweet_id for r in result.corpus.records] == ["t0"]
     assert result.invalid == [LineError(2, reason)]
 
 
@@ -227,7 +227,7 @@ def test_unicode_line_separator_in_text_keeps_line_whole(tmp_path, separator):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = load_corpus(path)
-    assert [r.text for r in result.corpus] == [f"a{separator}b", "hello"]
+    assert [r.text for r in result.corpus.records] == [f"a{separator}b", "hello"]
     assert result.invalid == []
 
 
@@ -271,17 +271,17 @@ def test_filter_by_hashtag_direct_membership():
         ]
     )
     kept = filter_by_hashtag(corpus, "#WestBengal")
-    assert [r.tweet_id for r in kept] == ["t1"]
+    assert [r.tweet_id for r in kept.records] == ["t1"]
 
 
 def test_filter_by_hashtag_no_match_is_empty():
     corpus = make_corpus([make_record(tweet_id="t1", hashtags=["cricket"])])
-    assert len(filter_by_hashtag(corpus, "football")) == 0
+    assert len(filter_by_hashtag(corpus, "football").records) == 0
 
 
 def test_filter_multi_tag_record_matches():
     corpus = make_corpus([make_record(tweet_id="t1", hashtags=["westbengal", "bengalelection2021"])])
-    assert len(filter_by_hashtag(corpus, "bengalelection2021")) == 1
+    assert len(filter_by_hashtag(corpus, "bengalelection2021").records) == 1
 
 
 def test_filter_rejects_empty_tag():
@@ -294,7 +294,7 @@ def test_merge_corpora_dedups_across_files(corpus_file):
     p1 = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2")], name="a.jsonl")
     p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t3")], name="b.jsonl")
     merged = merge_corpora([load_corpus(p1), load_corpus(p2)])
-    assert [r.tweet_id for r in merged.corpus] == ["t1", "t2", "t3"]
+    assert [r.tweet_id for r in merged.corpus.records] == ["t1", "t2", "t3"]
 
 
 @given(
@@ -328,7 +328,7 @@ def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
     path = corpus_file(lines)
     result = load_corpus(path)
     non_empty = sum(1 for line in lines if line.strip())
-    assert len(result.corpus) + len(result.invalid) == non_empty
+    assert len(result.corpus.records) + len(result.invalid) == non_empty
 
 
 def rarely(usual, odd):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from herdpulse import build_graph, clustering_stats, default_config, preprocess,
 from herdpulse.herd import (
     AuthorProfile,
     CampAssignments,
-    CampConfig,
     assign_corpus,
     herd_report,
     predict,
@@ -47,7 +44,7 @@ def doc(tweet_id, tokens):
     return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens))
 
 
-XY = CampConfig(camps={"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})})
+XY = {"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})}
 
 
 def test_profile_authors_means():
@@ -110,7 +107,7 @@ def test_herd_report_empty_top_band():
 
 def test_herd_report_integer_threshold_renders_as_fixed_point():
     assert type(herd_report([profile("a", 0.9, 1.0)], threshold=0).threshold) is float
-    config = replace(default_config(), herd_threshold=0)
+    config = default_config()._replace(herd_threshold=0)
     files = bundle_files(analyze_corpus(clique_star_corpus(), config), config)
     assert '"threshold": "0.000000"' in files["herd_report.json"]
 
@@ -171,9 +168,7 @@ def test_assign_corpus_counts_ties():
 
 
 def make_assignments(mapping):
-    assignments = CampAssignments()
-    assignments.by_tweet = dict(mapping)
-    return assignments
+    return CampAssignments(dict(mapping), 0, 0)
 
 
 def neutral_herd():
