@@ -22,10 +22,10 @@ config = default_config()
 #    go through: URLs and mentions disappear, hashtags keep their word.
 print("\nsample pipeline output:")
 for record in result.corpus.records[:4]:
-    doc = preprocess(record, config.stopwords, config.stemmer_rules)
-    score = score_tokens(doc, config.lexicon, config.negation_words)
+    tokens = preprocess(record.text, config.stopwords, config.stemmer_rules)
+    score = score_tokens(record.tweet_id, tokens, config.lexicon, config.negation_words)
     print(f"  {record.tweet_id}  {record.text!r}")
-    print(f"      tokens  : {' '.join(doc.tokens)}")
+    print(f"      tokens  : {' '.join(tokens)}")
     print(
         f"      scored  : polarity {score.polarity:+.3f}  "
         f"subjectivity {score.subjectivity:.3f}  {score.label}"
@@ -33,8 +33,9 @@ for record in result.corpus.records[:4]:
 
 # 3. Corpus-level shares. Percentages are truncated, never rounded, so the
 #    printed numbers match the report files digit for digit.
-docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in result.corpus.records]
-scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
+records = result.corpus.records
+tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in records]
+scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(records, tokens)]
 summary = summarize(scores)
 print(f"\n{summary.total} tweets:")
 print(f"  negative {summary.negative_pct}%  ({summary.negative})")

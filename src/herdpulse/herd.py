@@ -13,10 +13,9 @@ along as context.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, TweetRecord
-from .preprocess import TokenDoc
 from .sentiment import SentimentScore, summarize
 
 DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
@@ -166,24 +165,21 @@ def herd_report(
     )
 
 
-def camp_hits(doc: TokenDoc, record: TweetRecord, camps: dict[str, frozenset[str]]) -> dict[str, int]:
-    matchable = set(doc.tokens) | set(record.hashtags)
-    return {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
-
-
 def assign_corpus(
-    docs: list[TokenDoc], records: list[TweetRecord], camps: dict[str, frozenset[str]]
+    tokens: list[tuple[str, ...]], records: Sequence[TweetRecord], camps: dict[str, frozenset[str]]
 ) -> CampAssignments:
-    """Assign every tweet to the camp with the most keyword hits.
+    """Assign every tweet to the camp whose keywords hit most of its tokens and hashtags.
 
-    Zero hits or a tie for the most hits leaves a tweet unassigned; ties are
-    also counted on their own.
+    ``tokens[i]`` holds the tokens of ``records[i]``. A tweet with no hit
+    (always so when ``camps`` is empty) or a tie for the most hits stays
+    unassigned; ties are also counted on their own.
     """
     by_tweet: dict[str, str] = {}
     tie_count = unassigned_count = 0
-    for doc, record in zip(docs, records):
-        hits = camp_hits(doc, record, camps)
-        best = max(hits.values())
+    for own, record in zip(tokens, records):
+        matchable = set(own) | set(record.hashtags)
+        hits = {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
+        best = max(hits.values(), default=0)
         if best == 0:
             unassigned_count += 1
             continue
@@ -192,7 +188,7 @@ def assign_corpus(
             tie_count += 1
             unassigned_count += 1
             continue
-        by_tweet[doc.tweet_id] = leaders[0]
+        by_tweet[record.tweet_id] = leaders[0]
     return CampAssignments(by_tweet, tie_count, unassigned_count)
 
 

@@ -56,10 +56,13 @@ class AnalysisResult(NamedTuple):
 
 
 def score_corpus(corpus: Corpus, config: RunConfig):
-    """Preprocess and score every record; returns (docs, scores, summary)."""
-    docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
-    scores = [score_tokens(doc, config.lexicon, config.negation_words) for doc in docs]
-    return docs, scores, summarize(scores)
+    """Preprocess and score every record; returns (tokens per record, scores, summary)."""
+    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
+    scores = [
+        score_tokens(r.tweet_id, own, config.lexicon, config.negation_words)
+        for r, own in zip(corpus.records, tokens)
+    ]
+    return tokens, scores, summarize(scores)
 
 
 def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
@@ -68,17 +71,13 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     A corpus without any camp-assignable tweet does not abort the run: the
     prediction is ``None`` and ``prediction.json`` carries :data:`NO_CAMP_SIGNAL`.
     """
-    docs, scores, summary = score_corpus(corpus, config)
+    tokens, scores, summary = score_corpus(corpus, config)
     graph = build_graph(corpus)
     stats = clustering_stats(graph)
     profiles = profile_authors(scores, corpus, stats.local)
     herd = herd_report(profiles, config.band_edges, config.herd_threshold)
 
-    if config.camps is not None:
-        assignments = assign_corpus(docs, list(corpus.records), config.camps)
-    else:
-        assignments = CampAssignments({}, 0, len(docs))
-
+    assignments = assign_corpus(tokens, corpus.records, config.camps or {})
     return AnalysisResult(
         scores=scores,
         summary=summary,

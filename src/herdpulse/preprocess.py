@@ -9,20 +9,12 @@ given text never changes between runs or machines.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import NamedTuple
 
 
 _URL_RE = re.compile(r"https?\S*")
 _MENTION_RE = re.compile(r"@\S+")
 _NON_LETTER_RE = re.compile(r"[^a-z]+")
-
-
-class TokenDoc(NamedTuple):
-    """Normalized token list for one tweet."""
-
-    tweet_id: str
-    tokens: tuple[str, ...]
 
 
 def _normalize_pass(text: str) -> str:
@@ -113,48 +105,11 @@ class StemmerRules:
         return token[: len(token) - len(rule.suffix)] + rule.replacement
 
 
-def load_stemmer_rules(path: str | Path) -> StemmerRules:
-    """Parse a rule file of lines ``suffix<TAB>replacement<TAB>min_stem_length``."""
-    rules = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-        suffix, replacement, raw_min = parts
-        try:
-            min_len = int(raw_min)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: min_stem_length not an integer") from None
-        rules.append(StemRule(suffix=suffix, replacement=replacement, min_stem_length=min_len))
-    return StemmerRules(rules)
-
-
-def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One lowercase word per line; '#'-prefixed comment lines are ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.add(word.lower())
-    return frozenset(words)
-
-
-def preprocess_text(
-    text: str, stoplist: frozenset[str] | set[str], rules: StemmerRules
-) -> list[str]:
-    """Tokens of one text; a stopword is dropped both before and after stemming."""
+def preprocess(text: str, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> tuple[str, ...]:
+    """Tokens of one text, possibly none; a stopword is dropped both before and after stemming."""
     stem = rules.stem  # normalize() leaves single-spaced [a-z], so split() yields its words
-    return [
+    return tuple([
         out
         for token in normalize(text).split()
         if token not in stoplist and (out := stem(token)) and out not in stoplist
-    ]
-
-
-def preprocess(record, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> TokenDoc:
-    """Full pipeline for one record; empty token output is valid."""
-    tokens = preprocess_text(record.text, stoplist, rules)
-    return TokenDoc(tweet_id=record.tweet_id, tokens=tuple(tokens))
+    ])

@@ -9,20 +9,13 @@ Documents with no lexicon hit score (0, 0, NEUTRAL).
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import NamedTuple
-
-from .preprocess import TokenDoc
 
 NEGATIVE = "NEGATIVE"
 NEUTRAL = "NEUTRAL"
 POSITIVE = "POSITIVE"
 
 NEGATION_FLIP = -0.5
-
-
-class LexiconError(ValueError):
-    """Raised for malformed, duplicated or out-of-range lexicon entries."""
 
 
 Lexicon = dict[str, tuple[float, float]]  # term -> (polarity, subjectivity)
@@ -48,53 +41,10 @@ class CorpusSummary(NamedTuple):
     neutral_pct: str
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    """Parse ``term<TAB>polarity<TAB>subjectivity`` lines into a term -> scores dict.
-
-    Any malformed line, duplicate term or out-of-range value is fatal: a demo
-    lexicon that silently lost entries would corrupt every downstream number.
-    """
-    entries: Lexicon = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LexiconError(f"{path}:{line_no}: expected 3 tab-separated fields")
-        term, raw_pol, raw_subj = parts
-        term = term.strip()
-        if not term:
-            raise LexiconError(f"{path}:{line_no}: empty term")
-        try:
-            polarity = float(raw_pol)
-            subjectivity = float(raw_subj)
-        except ValueError:
-            raise LexiconError(f"{path}:{line_no}: non-numeric score") from None
-        if not -1.0 <= polarity <= 1.0:
-            raise LexiconError(f"{path}:{line_no}: polarity {polarity} outside [-1, 1]")
-        if not 0.0 <= subjectivity <= 1.0:
-            raise LexiconError(
-                f"{path}:{line_no}: subjectivity {subjectivity} outside [0, 1]"
-            )
-        if term in entries:
-            raise LexiconError(f"{path}:{line_no}: duplicate term {term!r}")
-        entries[term] = (polarity, subjectivity)
-    return entries
-
-
-def classify(polarity: float) -> str:
-    if polarity > 0:
-        return POSITIVE
-    if polarity < 0:
-        return NEGATIVE
-    return NEUTRAL
-
-
 def score_tokens(
-    doc: TokenDoc, lexicon: Lexicon, negation_words: frozenset[str] | set[str]
+    tweet_id: str, tokens: tuple[str, ...], lexicon: Lexicon, negation_words: frozenset[str] | set[str]
 ) -> SentimentScore:
-    """Score one token document against a lexicon.
+    """Score the tokens of one tweet against a lexicon.
 
     A lexicon hit immediately preceded by a negation word contributes
     ``NEGATION_FLIP * polarity`` instead of its plain polarity; subjectivity is
@@ -104,7 +54,7 @@ def score_tokens(
     polarities: list[float] = []
     subjectivities: list[float] = []
     previous: str | None = None
-    for token in doc.tokens:
+    for token in tokens:
         entry = lexicon.get(token)
         if entry is not None:
             polarity, subjectivity = entry
@@ -115,7 +65,7 @@ def score_tokens(
         previous = token
 
     if not polarities:
-        return SentimentScore(doc.tweet_id, 0.0, 0.0, NEUTRAL, 0)
+        return SentimentScore(tweet_id, 0.0, 0.0, NEUTRAL, 0)
 
     # fsum keeps the mean independent of hit order, so token permutations away
     # from negation windows cannot flip a label through rounding noise
@@ -123,10 +73,10 @@ def score_tokens(
     polarity = max(-1.0, min(1.0, polarity))
     subjectivity = math.fsum(subjectivities) / len(subjectivities)
     return SentimentScore(
-        tweet_id=doc.tweet_id,
+        tweet_id=tweet_id,
         polarity=polarity,
         subjectivity=subjectivity,
-        label=classify(polarity),
+        label=POSITIVE if polarity > 0 else NEGATIVE if polarity < 0 else NEUTRAL,
         matched_terms=len(polarities),
     )
 

@@ -14,7 +14,7 @@ import pytest
 from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
 from herdpulse.cli import main
 from herdpulse.herd import CampAssignments, herd_report, predict, profile_authors
-from herdpulse.preprocess import TokenDoc, normalize, preprocess_text
+from herdpulse.preprocess import normalize
 from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import record_line
@@ -99,8 +99,7 @@ def test_criterion_2_sentiment_bounds_fuzz():
             rng.choice(vocabulary + ["not", "no", "never", "neither", "nor"])
             for _ in range(rng.randint(0, 25))
         ]
-        doc = TokenDoc(tweet_id="fuzz", tokens=tuple(tokens))
-        score = score_tokens(doc, lexicon, negations)
+        score = score_tokens("fuzz", tuple(tokens), lexicon, negations)
         assert -1.0 <= score.polarity <= 1.0
         assert 0.0 <= score.subjectivity <= 1.0
         if score.polarity > 0:
@@ -131,8 +130,8 @@ def test_criterion_4_herd_fixture():
     corpus = clique_star_corpus()
     config = default_config()
     graph = build_graph(corpus)
-    docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
-    scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
+    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
+    scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
     profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0
@@ -166,8 +165,8 @@ def test_criterion_5_prediction_consistency():
     corpus = clique_star_corpus()
     config = default_config()
     graph = build_graph(corpus)
-    docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
-    doc_scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
+    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
+    doc_scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
     herd = herd_report(profile_authors(doc_scores, corpus, clustering_stats(graph).local))
 
     scores, assignments = _camp_fixture(scale=1)
@@ -258,7 +257,7 @@ def test_criterion_7_preprocessing_idempotence():
         for token in tokens:
             stemmed = rules.stem(token)
             assert rules.stem(stemmed) == stemmed
-        kept = preprocess_text(text, stopwords, rules)
+        kept = preprocess(text, stopwords, rules)
         assert not stopwords.intersection(kept)
         assert all(reference_stem(token, table) == token for token in kept)
     print("[PASS] criterion 7: normalize/stem fixed points, no stopword out, on 1000 strings")

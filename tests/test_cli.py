@@ -79,6 +79,15 @@ def test_analyze_bad_band_edges_is_config_failure(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_nan_threshold_is_config_failure(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"herd_threshold": NaN}', encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: herd_threshold must be a finite number\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_config_not_utf8_is_config_failure(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"herd_threshold": 0}\xff\n')

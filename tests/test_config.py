@@ -61,6 +61,9 @@ def test_config_bom_before_invalid_utf8_is_still_an_encoding_error(tmp_path):
         ({"X": []}, "camp 'X' has no keywords"),
         ({"X": ["PartyX"]}, "camp 'X' keyword not lowercase: 'PartyX'"),
         ({"X": "partyx"}, "camp 'X': keywords must be an array of strings"),
+        ({"X": [""]}, "camp 'X' keyword can never match: ''"),
+        ({"X": ["#partyx"]}, "camp 'X' keyword can never match: '#partyx'"),
+        ({"X": ["party x"]}, "camp 'X' keyword can never match: 'party x'"),
     ],
 )
 def test_bad_camps_are_config_errors(tmp_path, camps, message):
@@ -69,3 +72,41 @@ def test_bad_camps_are_config_errors(tmp_path, camps, message):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value) == message
+
+
+BIG = 10**400  # a JSON integer that overflows a float
+EDGES_ERROR = "band_edges must be an array of finite numbers"
+THRESHOLD_ERROR = "herd_threshold must be a finite number"
+SHARE_ERROR = "reference_shares 'X' must be a string or a finite number"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"herd_threshold": True}, THRESHOLD_ERROR),
+        ({"herd_threshold": BIG}, THRESHOLD_ERROR),
+        ({"herd_threshold": float("nan")}, THRESHOLD_ERROR),
+        ({"herd_threshold": float("-inf")}, THRESHOLD_ERROR),
+        ({"band_edges": [False, True]}, EDGES_ERROR),
+        ({"band_edges": [0, BIG]}, EDGES_ERROR),
+        ({"band_edges": [0, float("nan"), 1]}, EDGES_ERROR),
+        ({"band_edges": [float("-inf"), 1]}, EDGES_ERROR),
+        ({"reference_shares": {"X": None}}, SHARE_ERROR),
+        ({"reference_shares": {"X": True}}, SHARE_ERROR),
+        ({"reference_shares": {"X": [47.9]}}, SHARE_ERROR),
+        ({"reference_shares": {"X": {"a": [1, 2]}}}, SHARE_ERROR),
+        ({"reference_shares": {"X": float("nan")}}, SHARE_ERROR),
+    ],
+)
+def test_bad_config_values_are_config_errors(tmp_path, raw, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # json writes NaN and -Infinity as Python reads them
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message
+
+
+def test_reference_shares_keep_strings_and_render_numbers(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"reference_shares": {"X": "47.9%", "Y": 38.1, "Z": 12}}), encoding="utf-8")
+    assert load_config(path).reference_shares == {"X": "47.9%", "Y": "38.1", "Z": "12"}

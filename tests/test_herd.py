@@ -13,7 +13,6 @@ from herdpulse.herd import (
     profile_authors,
 )
 from herdpulse.pipeline import analyze_corpus, bundle_files
-from herdpulse.preprocess import TokenDoc
 from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import make_corpus, make_record
@@ -38,10 +37,6 @@ def score(tweet_id, polarity=0.0, subjectivity=0.5):
     else:
         label = NEUTRAL
     return SentimentScore(tweet_id, polarity, subjectivity, label, 1)
-
-
-def doc(tweet_id, tokens):
-    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens))
 
 
 XY = {"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})}
@@ -140,7 +135,7 @@ def test_herd_report_band_membership_boundaries():
 
 def assign_one(tokens, hashtags=()):
     """The camp a one-tweet corpus assigns its tweet, or None."""
-    assignments = assign_corpus([doc("t1", tokens)], [make_record(hashtags=hashtags)], XY)
+    assignments = assign_corpus([tuple(tokens)], [make_record(hashtags=hashtags)], XY)
     return assignments.by_tweet.get("t1")
 
 
@@ -155,13 +150,9 @@ def test_assign_camp_uses_hashtags():
 
 
 def test_assign_corpus_counts_ties():
-    docs = [
-        doc("t1", ["partyx"]),
-        doc("t2", ["partyx", "partyy"]),
-        doc("t3", ["nothing"]),
-    ]
+    tokens = [("partyx",), ("partyx", "partyy"), ("nothing",)]
     records = [make_record(tweet_id=f"t{i}") for i in (1, 2, 3)]
-    assignments = assign_corpus(docs, records, XY)
+    assignments = assign_corpus(tokens, records, XY)
     assert assignments.by_tweet == {"t1": "X"}
     assert assignments.tie_count == 1
     assert assignments.unassigned_count == 2
@@ -284,8 +275,8 @@ def test_clique_vs_star_fixture_flags_herding():
     corpus = clique_star_corpus()
     config = default_config()
     graph = build_graph(corpus)
-    docs = [preprocess(r, config.stopwords, config.stemmer_rules) for r in corpus.records]
-    scores = [score_tokens(d, config.lexicon, config.negation_words) for d in docs]
+    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
+    scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
     profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0

@@ -32,6 +32,8 @@ EXPORTS = {
     "score_tokens",
     "summarize",
 }
+# modules that compute on values they are given; config, corpus, pipeline and cli do the file I/O
+PURE_MODULES = ["preprocess.py", "sentiment.py", "herd.py", "svgplot.py"]
 # none is needed to run herdpulse: xml.sax.saxutils pulls in the first four
 # through urllib, and one dataclass record pulls in the last two
 UNUSED_AT_STARTUP = ("urllib.request", "http.client", "email", "ssl", "dataclasses", "inspect")
@@ -93,6 +95,20 @@ def test_demo_runs(demo):
     proc = _python(str(demo), cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("module", PURE_MODULES)
+def test_pure_layers_do_no_file_io(module):
+    tree = ast.parse((SRC / "herdpulse" / module).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert "pathlib" not in imported
+    assert called.isdisjoint({"open", "read_text", "write_text"})
 
 
 def test_cli_import_leaves_network_modules_unloaded():

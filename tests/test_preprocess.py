@@ -6,15 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from herdpulse import default_config, preprocess
-from herdpulse.preprocess import (
-    StemmerRules,
-    StemRule,
-    load_stemmer_rules,
-    load_wordlist,
-    normalize,
-)
+from herdpulse.config import load_stemmer_rules, load_wordlist
+from herdpulse.preprocess import StemmerRules, StemRule, normalize
 
-from .conftest import make_record
 from .oracles import reference_normalize, reference_stem
 
 DEFAULTS = default_config()
@@ -133,38 +127,33 @@ def test_wordlist_parsing(tmp_path):
 
 
 def test_preprocess_full_pipeline():
-    record = make_record(text="The ELECTIONS are coming! #WestBengal")
-    doc = preprocess(record, {"the", "are"}, RULES)
+    tokens = preprocess("The ELECTIONS are coming! #WestBengal", {"the", "are"}, RULES)
     # "coming" stems to "com" under the shipped rule table
-    assert doc.tokens == ("election", "com", "westbengal")
-    assert doc.tweet_id == record.tweet_id
+    assert tokens == ("election", "com", "westbengal")
 
 
 def test_preprocess_url_only_text():
-    record = make_record(text="https://t.co/abc123")
-    assert preprocess(record, STOPWORDS, RULES).tokens == ()
+    assert preprocess("https://t.co/abc123", STOPWORDS, RULES) == ()
 
 
 def test_preprocess_single_word():
-    record = make_record(text="vote")
-    assert preprocess(record, STOPWORDS, RULES).tokens == ("vote",)
+    assert preprocess("vote", STOPWORDS, RULES) == ("vote",)
 
 
 def test_preprocess_deterministic():
-    record = make_record(text="Winning #Elections!! @someone https://x.y z")
-    first = preprocess(record, STOPWORDS, RULES)
-    second = preprocess(record, STOPWORDS, RULES)
+    text = "Winning #Elections!! @someone https://x.y z"
+    first = preprocess(text, STOPWORDS, RULES)
+    second = preprocess(text, STOPWORDS, RULES)
     assert first == second
 
 
 @given(st.text(max_size=120))
 @example("AMS")  # "ams" is no stopword, but its stem "am" is
 def test_token_count_bounded_by_fragments(text):
-    record = make_record(text=text)
-    doc = preprocess(record, STOPWORDS, RULES)
-    assert len(doc.tokens) <= len(normalize(text).split())
-    assert all(token and token.isalpha() and token == token.lower() for token in doc.tokens)
-    assert all(token not in STOPWORDS for token in doc.tokens)
+    tokens = preprocess(text, STOPWORDS, RULES)
+    assert len(tokens) <= len(normalize(text).split())
+    assert all(token and token.isalpha() and token == token.lower() for token in tokens)
+    assert all(token not in STOPWORDS for token in tokens)
 
 
 def suffix_shaped(alphabet: str, suffixes: list[str]):
@@ -227,8 +216,7 @@ def test_stem_rule_scan_runs_once_per_distinct_token():
     scanned = []
     apply_once = rules._apply_once
     rules._apply_once = lambda token: scanned.append(token) or apply_once(token)
-    docs = [preprocess(make_record(tweet_id=f"t{i}", text="Winning"), STOPWORDS, rules) for i in range(1000)]
-    assert {doc.tokens for doc in docs} == {("win",)}
+    assert {preprocess("Winning", STOPWORDS, rules) for _ in range(1000)} == {("win",)}
     assert scanned == ["winning", "win"]  # the first stem's two passes, then cache hits
 
 

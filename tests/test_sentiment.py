@@ -4,22 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from herdpulse import score_tokens, summarize
-from herdpulse.preprocess import TokenDoc
+from herdpulse.config import ConfigError, load_lexicon
 from herdpulse.sentiment import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    LexiconError,
     SentimentScore,
-    load_lexicon,
     truncate_percent,
 )
 
 NEGATIONS = frozenset({"not", "no", "never", "neither", "nor"})
-
-
-def doc(tokens, tweet_id="t1"):
-    return TokenDoc(tweet_id=tweet_id, tokens=tuple(tokens))
 
 
 GOOD_BAD = {"good": (0.7, 0.6), "bad": (-0.7, 0.6)}
@@ -35,29 +29,29 @@ def test_load_lexicon_single_entry(tmp_path):
 def test_load_lexicon_duplicate_fatal(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("good\t0.7\t0.6\ngood\t0.1\t0.1\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match="good"):
+    with pytest.raises(ConfigError, match="good"):
         load_lexicon(path)
 
 
 def test_load_lexicon_out_of_range_fatal(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("bad\t-1.5\t0.5\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match="polarity"):
+    with pytest.raises(ConfigError, match="polarity"):
         load_lexicon(path)
     path.write_text("bad\t-0.5\t1.5\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match="subjectivity"):
+    with pytest.raises(ConfigError, match="subjectivity"):
         load_lexicon(path)
 
 
 def test_load_lexicon_malformed_line_fatal(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("good\t0.7\t0.6\nbroken line\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=":2"):
+    with pytest.raises(ConfigError, match=":2"):
         load_lexicon(path)
 
 
 def test_score_single_term():
-    score = score_tokens(doc(["good"]), GOOD_BAD, NEGATIONS)
+    score = score_tokens("t1", ["good"], GOOD_BAD, NEGATIONS)
     assert score.polarity == pytest.approx(0.7)
     assert score.subjectivity == pytest.approx(0.6)
     assert score.label == POSITIVE
@@ -65,20 +59,20 @@ def test_score_single_term():
 
 
 def test_score_empty_tokens_neutral():
-    score = score_tokens(doc([]), GOOD_BAD, NEGATIONS)
+    score = score_tokens("t1", [], GOOD_BAD, NEGATIONS)
     assert (score.polarity, score.subjectivity, score.label) == (0.0, 0.0, NEUTRAL)
     assert score.matched_terms == 0
 
 
 def test_score_negation_flips_half():
-    score = score_tokens(doc(["not", "good"]), GOOD_BAD, NEGATIONS)
+    score = score_tokens("t1", ["not", "good"], GOOD_BAD, NEGATIONS)
     assert score.polarity == pytest.approx(-0.35)
     assert score.subjectivity == pytest.approx(0.6)
     assert score.label == NEGATIVE
 
 
 def test_score_symmetric_cancellation():
-    score = score_tokens(doc(["good", "bad"]), GOOD_BAD, NEGATIONS)
+    score = score_tokens("t1", ["good", "bad"], GOOD_BAD, NEGATIONS)
     assert score.polarity == 0.0
     assert score.label == NEUTRAL
     assert score.matched_terms == 2
@@ -86,15 +80,15 @@ def test_score_symmetric_cancellation():
 
 def test_negation_window_is_one_token():
     # negation two tokens back does not reach the hit
-    far = score_tokens(doc(["not", "really", "good"]), GOOD_BAD, NEGATIONS)
+    far = score_tokens("t1", ["not", "really", "good"], GOOD_BAD, NEGATIONS)
     assert far.polarity == pytest.approx(0.7)
     # negation word itself may be a lexicon term's neighbor repeatedly
-    double = score_tokens(doc(["not", "good", "good"]), GOOD_BAD, NEGATIONS)
+    double = score_tokens("t1", ["not", "good", "good"], GOOD_BAD, NEGATIONS)
     assert double.polarity == pytest.approx((-0.35 + 0.7) / 2)
 
 
 def test_no_match_tokens_are_neutral():
-    score = score_tokens(doc(["zzz", "qqq"]), GOOD_BAD, NEGATIONS)
+    score = score_tokens("t1", ["zzz", "qqq"], GOOD_BAD, NEGATIONS)
     assert score.label == NEUTRAL
     assert score.matched_terms == 0
 
@@ -124,7 +118,7 @@ def random_lexicons(draw):
 
 @given(tokens=token_strategy, lexicon=random_lexicons())
 def test_score_bounds_and_sign_rule(tokens, lexicon):
-    score = score_tokens(doc(tokens), lexicon, NEGATIONS)
+    score = score_tokens("t1", tokens, lexicon, NEGATIONS)
     assert -1.0 <= score.polarity <= 1.0
     assert 0.0 <= score.subjectivity <= 1.0
     if score.polarity > 0:
@@ -137,9 +131,9 @@ def test_score_bounds_and_sign_rule(tokens, lexicon):
 
 @given(tokens=st.lists(st.sampled_from(["good", "bad", "meh", "zzz"]), max_size=20))
 def test_doubling_tokens_preserves_score_without_negations(tokens):
-    base = score_tokens(doc(tokens), GOOD_BAD, NEGATIONS)
+    base = score_tokens("t1", tokens, GOOD_BAD, NEGATIONS)
     doubled = [t for token in tokens for t in (token, token)]
-    twice = score_tokens(doc(doubled), GOOD_BAD, NEGATIONS)
+    twice = score_tokens("t1", doubled, GOOD_BAD, NEGATIONS)
     assert twice.polarity == pytest.approx(base.polarity)
     assert twice.subjectivity == pytest.approx(base.subjectivity)
     assert twice.label == base.label
@@ -147,8 +141,8 @@ def test_doubling_tokens_preserves_score_without_negations(tokens):
 
 @given(tokens=st.lists(st.sampled_from(["good", "bad", "meh", "zzz"]), max_size=20))
 def test_permutation_invariance_without_negations(tokens):
-    base = score_tokens(doc(tokens), GOOD_BAD, NEGATIONS)
-    swapped = score_tokens(doc(list(reversed(tokens))), GOOD_BAD, NEGATIONS)
+    base = score_tokens("t1", tokens, GOOD_BAD, NEGATIONS)
+    swapped = score_tokens("t1", list(reversed(tokens)), GOOD_BAD, NEGATIONS)
     assert swapped.polarity == pytest.approx(base.polarity)
     assert swapped.subjectivity == pytest.approx(base.subjectivity)
 
