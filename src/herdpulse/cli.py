@@ -156,7 +156,7 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 
 def cmd_plot(args) -> int:
     bundle = Path(args.bundle_dir)
-    if not bundle.exists():
+    if not bundle.is_dir():
         _fail(f"no such bundle directory: {bundle}")
         return EXIT_IO
     out = Path(args.out) if args.out else bundle
@@ -197,18 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--corpus", action="append", required=True, help="corpus file (repeatable)")
     validate.set_defaults(func=cmd_validate)
 
-    score = sub.add_parser("score", help="write per-tweet scores and print the summary")
-    score.add_argument("--corpus", action="append", required=True)
-    score.add_argument("--config", default=None)
-    score.add_argument("--out", required=True, help="output directory")
-    score.add_argument("--hashtag", default=None, help="keep only tweets with this hashtag")
+    shared = argparse.ArgumentParser(add_help=False)  # options of score and analyze
+    shared.add_argument("--corpus", action="append", required=True, help="corpus file (repeatable)")
+    shared.add_argument("--config", default=None, help="config JSON file (default: packaged data, no camps)")
+    shared.add_argument("--out", required=True, help="output directory")
+    shared.add_argument("--hashtag", default=None, help="keep only tweets with this hashtag")
+
+    score = sub.add_parser("score", parents=[shared], help="write per-tweet scores and print the summary")
     score.set_defaults(func=cmd_score)
 
-    analyze = sub.add_parser("analyze", help="emit the full report bundle")
-    analyze.add_argument("--corpus", action="append", required=True)
-    analyze.add_argument("--config", default=None)
-    analyze.add_argument("--out", required=True)
-    analyze.add_argument("--hashtag", default=None)
+    analyze = sub.add_parser("analyze", parents=[shared], help="emit the full report bundle")
     analyze.set_defaults(func=cmd_analyze)
 
     plot = sub.add_parser("plot", help="render SVGs from a report bundle")

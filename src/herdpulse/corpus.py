@@ -1,4 +1,4 @@
-"""Offline tweet-corpus ingestion: load, validate, filter, re-serialize.
+"""Offline tweet-corpus ingestion: load, validate, merge, filter.
 
 A corpus file is UTF-8, one JSON object per LF-terminated line, with keys:
 ``tweet_id``, ``author_id``, ``text``, ``timestamp`` (ISO-8601 UTC),
@@ -224,33 +224,15 @@ def load_corpus(path: str | Path) -> LoadResult:
     return LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown_keys)
 
 
-def record_to_json(record: TweetRecord) -> str:
-    """Serialize one record to the documented line format (canonical key order)."""
-    obj = {
-        "tweet_id": record.tweet_id,
-        "author_id": record.author_id,
-        "text": record.text,
-        "timestamp": record.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "hashtags": list(record.hashtags),
-        "mentions": list(record.mentions),
-        "retweet_of": record.retweet_of,
-        "follower_count": record.follower_count,
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    lines = [record_to_json(record) for record in corpus.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
 def filter_by_hashtag(corpus: Corpus, tag: str) -> Corpus:
-    """Sub-corpus of records carrying ``tag`` (case-insensitive, '#' stripped)."""
+    """Sub-corpus of records carrying ``tag`` (case-insensitive, leading '#' stripped)."""
     if not tag:
         raise ValueError("tag must be non-empty")
     wanted = tag.lstrip("#").lower()
     if not wanted:
         raise ValueError("tag must be non-empty after stripping '#'")
+    if _BAD_HASHTAG_CHAR.search(wanted):
+        raise ValueError("tag contains whitespace or '#' and can never match")
     kept = tuple(r for r in corpus.records if wanted in r.hashtags)
     return Corpus(kept)
 

@@ -25,8 +25,6 @@ DEFAULT_HERD_THRESHOLD = 0.0
 class AuthorProfile(NamedTuple):
     author_id: str
     mean_subjectivity: float
-    mean_polarity: float
-    tweet_count: int
     local_clustering: float
 
 
@@ -97,8 +95,6 @@ def profile_authors(
             AuthorProfile(
                 author_id=author,
                 mean_subjectivity=math.fsum(s.subjectivity for s in own) / len(own),
-                mean_polarity=math.fsum(s.polarity for s in own) / len(own),
-                tweet_count=len(own),
                 local_clustering=local.get(author, 0.0),
             )
         )

@@ -49,7 +49,6 @@ class AnalysisResult(NamedTuple):
     summary: CorpusSummary
     graph: SocialGraph
     stats: ClusteringStats
-    profiles: list
     herd: HerdReport
     assignments: CampAssignments
     prediction: PredictionReport | None
@@ -83,7 +82,6 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
         summary=summary,
         graph=graph,
         stats=stats,
-        profiles=profiles,
         herd=herd,
         assignments=assignments,
         prediction=predict(scores, assignments, herd),
@@ -212,7 +210,7 @@ def write_bundle(result: AnalysisResult, config: RunConfig, out_dir: str | Path,
             "scored": len(result.scores),
             "graph_nodes": len(result.graph),
             "graph_edges": result.graph.edge_count(),
-            "profiled_authors": len(result.profiles),
+            "profiled_authors": sum(band.count for band in result.herd.bands),
             "assigned": len(result.assignments.by_tweet),
             "camp_ties": result.assignments.tie_count,
         },

@@ -315,6 +315,11 @@ NO_TAG = {
     "score": ("score", "#", "tag must be non-empty after stripping '#'"),
     "analyze_empty": ("analyze", "", "tag must be non-empty"),
     "score_empty": ("score", "", "tag must be non-empty"),
+    "analyze_space": ("analyze", "a b", "tag contains whitespace or '#' and can never match"),
+    "score_space": ("score", "#a b", "tag contains whitespace or '#' and can never match"),
+    "analyze_inner_hash": ("analyze", "x#y", "tag contains whitespace or '#' and can never match"),
+    "score_inner_hash": ("score", "x#y", "tag contains whitespace or '#' and can never match"),
+    "score_nbsp": ("score", "west\u00a0bengal", "tag contains whitespace or '#' and can never match"),
 }
 
 
@@ -328,20 +333,23 @@ def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+EXISTS = "[Errno 17] File exists: '{}'"
 OUT_IS_A_FILE = {
-    "analyze": ["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out"],
-    "score": ["score", "--corpus", DEMO_CORPUS, "--out"],
-    "plot": ["plot", GOLDEN_BUNDLE, "--out"],
-    "plot_bundle": ["plot"],
+    "analyze": (["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out"], EXISTS),
+    "score": (["score", "--corpus", DEMO_CORPUS, "--out"], EXISTS),
+    "plot": (["plot", GOLDEN_BUNDLE, "--out"], EXISTS),
+    # without --out the bundle is the output directory, and a file is no bundle
+    "plot_bundle": (["plot"], "no such bundle directory: {}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_IS_A_FILE))
 def test_output_path_is_a_file_is_io_failure(tmp_path, capsys, case):
+    args, message = OUT_IS_A_FILE[case]
     target = tmp_path / "taken"
     target.write_text("keep\n", encoding="utf-8")
-    assert main([*OUT_IS_A_FILE[case], str(target)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{target}'\n"
+    assert main([*args, str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(target)}\n"
     assert target.read_text(encoding="utf-8") == "keep\n"
 
 
@@ -407,6 +415,13 @@ def test_plot_missing_bundle_dir_is_io_failure(tmp_path, capsys):
     assert main(["plot", str(bundle)]) == 2
     assert capsys.readouterr().err == f"error: no such bundle directory: {bundle}\n"
     assert not bundle.exists()
+    # a file is no bundle either, also with --out
+    a_file, out = tmp_path / "taken", tmp_path / "out"
+    a_file.write_text("keep\n", encoding="utf-8")
+    assert main(["plot", str(a_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no such bundle directory: {a_file}\n"
+    assert a_file.read_text(encoding="utf-8") == "keep\n"
+    assert not out.exists()
 
 
 BAD_SERIES = {

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
 from herdpulse.herd import (
+    DEFAULT_BAND_EDGES,
     AuthorProfile,
     CampAssignments,
     assign_corpus,
@@ -19,14 +20,8 @@ from .conftest import make_corpus, make_record
 from .fixtures import clique_star_corpus
 
 
-def profile(author, subj, clustering, polarity=0.0, tweets=1):
-    return AuthorProfile(
-        author_id=author,
-        mean_subjectivity=subj,
-        mean_polarity=polarity,
-        tweet_count=tweets,
-        local_clustering=clustering,
-    )
+def profile(author, subj, clustering):
+    return AuthorProfile(author_id=author, mean_subjectivity=subj, local_clustering=clustering)
 
 
 def score(tweet_id, polarity=0.0, subjectivity=0.5):
@@ -60,10 +55,7 @@ def test_profile_authors_means():
     assert [p.author_id for p in profiles] == ["a", "b"]
     a, b = profiles
     assert a.mean_subjectivity == pytest.approx(0.6)
-    assert a.mean_polarity == pytest.approx(0.3)
-    assert a.tweet_count == 2
     assert b.mean_subjectivity == pytest.approx(0.3)
-    assert b.tweet_count == 1
 
 
 def test_profile_author_without_edges_gets_zero_clustering():
@@ -131,6 +123,20 @@ def test_herd_report_band_membership_boundaries():
     ]
     report = herd_report(profiles)
     assert [band.count for band in report.bands] == [1, 1, 2]
+
+
+INNER_EDGES = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4, unique=True)
+
+
+@given(
+    edges=st.just(DEFAULT_BAND_EDGES) | INNER_EDGES.map(lambda inner: (0.0, *sorted(inner), 1.0)),
+    subjs=st.lists(st.floats(0.0, 1.0), max_size=10),
+    clustering=st.floats(0.0, 1.0),
+)
+def test_every_profile_lands_in_exactly_one_band(edges, subjs, clustering):
+    # the manifest's profiled_authors is this sum; every edge itself is a mean subjectivity
+    profiles = [profile(f"a{i}", s, clustering) for i, s in enumerate([*edges, *subjs])]
+    assert sum(band.count for band in herd_report(profiles, edges).bands) == len(profiles)
 
 
 def assign_one(tokens, hashtags=()):

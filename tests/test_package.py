@@ -111,6 +111,25 @@ def test_pure_layers_do_no_file_io(module):
     assert called.isdisjoint({"open", "read_text", "write_text"})
 
 
+def test_every_public_definition_has_a_reader():
+    # a public module-level function or class must be named outside its own
+    # definition: in the package, a demo or the README
+    modules = sorted((SRC / "herdpulse").glob("*.py"))
+    texts = {path: path.read_text(encoding="utf-8") for path in modules}
+    shared = "\n".join(path.read_text(encoding="utf-8") for path in [*DEMOS, REPO / "README.md"])
+    unread = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            others = [own, shared, *(t for p, t in texts.items() if p != path)]
+            if not any(re.search(rf"\b{node.name}\b", other) for other in others):
+                unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unread == []
+
+
 def test_cli_import_leaves_network_modules_unloaded():
     proc = _python(
         "-c",
