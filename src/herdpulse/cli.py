@@ -13,7 +13,7 @@ from itertools import chain
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_config, load_config
-from .corpus import CorpusFormatError, LoadResult, filter_by_hashtag, load_corpus, merge_corpora
+from .corpus import CorpusFormatError, LoadResult, load_corpora, load_corpus
 from .pipeline import (
     NO_CAMP_SIGNAL,
     RunInfo,
@@ -44,15 +44,13 @@ def _fail(message: str) -> None:
 
 
 def _load_inputs(paths: list[str], hashtag: str | None) -> tuple[LoadResult, int]:
-    """Load and merge corpus files; returns (result, pre-filter record count)."""
-    merged = merge_corpora([load_corpus(path) for path in paths])
-    loaded = len(merged.corpus.records)
-    if hashtag is not None:
-        try:
-            merged = merged._replace(corpus=filter_by_hashtag(merged.corpus, hashtag))
-        except ValueError as err:
-            raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
-    return merged, loaded
+    """Load corpus files; a bad tag fails as a config error before any file is read."""
+    try:
+        return load_corpora(paths, hashtag)
+    except CorpusFormatError:
+        raise
+    except ValueError as err:  # the tag check; bad lines come back as LineError entries
+        raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
 
 
 def _resolve_config(path: str | None) -> RunConfig:

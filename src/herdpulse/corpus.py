@@ -1,9 +1,11 @@
-"""Offline tweet-corpus ingestion: load, validate, merge, filter.
+"""Offline tweet-corpus ingestion: validate, deduplicate and filter in one pass.
 
 A corpus file is UTF-8, one JSON object per LF-terminated line, with keys:
-``tweet_id``, ``author_id``, ``text``, ``timestamp`` (ISO-8601 UTC),
+``tweet_id``, ``author_id``, ``text``, ``timestamp`` (RFC 3339, read as UTC),
 ``hashtags``, ``mentions``, ``retweet_of`` (string or null) and
-``follower_count``. Unknown keys are ignored but counted.
+``follower_count``. Unknown keys are ignored but counted. ``load_corpora``
+reads several files at once: the first occurrence of a tweet_id across files
+wins, and with a hashtag it keeps only the records that carry it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,20 @@ REQUIRED_KEYS = (
     "follower_count",
 )
 
-# load_corpus aborts when more than this fraction of non-empty lines is invalid
+# loading aborts when more than this fraction of a file's non-empty lines is invalid
 MAX_INVALID_FRACTION = 0.5
 
 _decode_json = json.JSONDecoder().decode  # json.loads(str) without its per-call dispatch
 _BAD_HASHTAG_CHAR = re.compile(r"[#\s]")  # '#' or a char for which str.isspace() holds
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# RFC 3339 date-time or a bare date. Checked before fromisoformat, which on 3.11
+# also reads week, ordinal and basic-format dates; on 3.10 it reads a fraction
+# only of 3 or 6 digits, so the fraction is dropped before it is called. Each
+# digit is spelled out: sre runs "[0-9]{2}" as a slower counted loop.
+_RFC3339 = re.compile(
+    r"[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]"
+    r"(?:[Tt ][0-9][0-9]:[0-9][0-9]:[0-9][0-9](?:\.[0-9]+)?(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?)?"
+)
 
 
 class CorpusFormatError(ValueError):
@@ -75,6 +85,11 @@ def _parse_timestamp(value) -> datetime:
     if not isinstance(value, str) or not value:
         raise ValueError("timestamp must be an ISO-8601 string")
     text = value.strip()
+    if not _RFC3339.fullmatch(text):
+        raise ValueError(f"timestamp not ISO-8601: {value!r}")
+    head, dot, tail = text.partition(".")
+    if dot:  # seconds precision: sub-second detail is dropped deterministically
+        text = head + tail.lstrip("0123456789")
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
@@ -82,13 +97,11 @@ def _parse_timestamp(value) -> datetime:
     except ValueError:
         raise ValueError(f"timestamp not ISO-8601: {value!r}") from None
     if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed.replace(tzinfo=timezone.utc)
     try:
-        parsed = parsed.astimezone(timezone.utc)  # returns self when already UTC
+        return parsed.astimezone(timezone.utc)  # returns self when already UTC
     except OverflowError:
         raise ValueError(f"timestamp out of range: {value!r}") from None
-    # seconds precision: sub-second detail is dropped deterministically
-    return parsed.replace(microsecond=0) if parsed.microsecond else parsed
 
 
 def _parse_hashtags(value) -> tuple[str, ...]:
@@ -172,83 +185,71 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
     return record, unknown
 
 
-def load_corpus(path: str | Path) -> LoadResult:
-    """Load a line-delimited corpus file, keeping every valid record in file order.
+def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> tuple[LoadResult, int]:
+    """Load corpus files in one pass; returns (result, distinct valid tweet_ids).
 
     Lines end at LF only and are decoded one by one, so a raw U+2028 in a
     text stays inside its line and bad UTF-8 spoils only its own line; a
-    leading BOM is ignored. Invalid lines are collected as :class:`LineError`
-    entries instead of being silently dropped; a later duplicate of an
-    already-seen tweet_id is invalid.
-    Raises ``OSError`` if the file is unreadable and :class:`CorpusFormatError`
-    when more than half of the non-empty lines fail validation (wrong-format
-    guard).
+    leading BOM is ignored. Invalid lines are kept as :class:`LineError`
+    entries; a repeated tweet_id within a file is one. Across files the first
+    occurrence wins, and only then does ``hashtag`` (case-insensitive, leading
+    '#' stripped) drop the records without it. Raises ``ValueError`` for a tag
+    that can never match, before any file is read; ``OSError`` if a file is
+    unreadable; :class:`CorpusFormatError` when more than half of a file's
+    non-empty lines are invalid (wrong-format guard).
     """
+    wanted = None if hashtag is None else hashtag.lstrip("#").lower()
+    if hashtag == "":
+        raise ValueError("tag must be non-empty")
+    if wanted == "":
+        raise ValueError("tag must be non-empty after stripping '#'")
+    if wanted is not None and _BAD_HASHTAG_CHAR.search(wanted):
+        raise ValueError("tag contains whitespace or '#' and can never match")
     records: list[TweetRecord] = []
     invalid: list[LineError] = []
     unknown_keys = 0
-    seen_ids: set[str] = set()
-    non_empty = 0
+    last_file: dict[str, int] = {}  # tweet_id -> index of the last file that held it
 
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if line_no == 1:
-                raw = raw.removeprefix(codecs.BOM_UTF8)
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
+    for index, path in enumerate(paths):
+        before = len(invalid)
+        non_empty = 0
+        with open(path, "rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if line_no == 1:
+                    raw = raw.removeprefix(codecs.BOM_UTF8)
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    non_empty += 1
+                    invalid.append(LineError(line_no, "invalid UTF-8"))
+                    continue
+                if not line.strip():
+                    continue
                 non_empty += 1
-                invalid.append(LineError(line_no, "invalid UTF-8"))
-                continue
-            if not line.strip():
-                continue
-            non_empty += 1
-            try:
-                record, unknown = _parse_line(line)
-            except ValueError as err:
-                invalid.append(LineError(line_no, str(err)))
-                continue
-            if record.tweet_id in seen_ids:
-                invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id!r}"))
-                continue
-            seen_ids.add(record.tweet_id)
-            unknown_keys += unknown
-            records.append(record)
+                try:
+                    record, unknown = _parse_line(line)
+                except ValueError as err:
+                    invalid.append(LineError(line_no, str(err)))
+                    continue
+                held = last_file.get(record.tweet_id)
+                if held == index:
+                    invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id!r}"))
+                    continue
+                last_file[record.tweet_id] = index
+                unknown_keys += unknown
+                if held is None and (wanted is None or wanted in record.hashtags):
+                    records.append(record)
 
-    if non_empty and len(invalid) / non_empty > MAX_INVALID_FRACTION:
-        raise CorpusFormatError(
-            f"{len(invalid)} of {non_empty} lines invalid in {path}; "
-            "file does not look like a corpus"
-        )
+        bad = len(invalid) - before
+        if non_empty and bad / non_empty > MAX_INVALID_FRACTION:
+            raise CorpusFormatError(
+                f"{bad} of {non_empty} lines invalid in {path}; file does not look like a corpus"
+            )
 
-    return LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown_keys)
+    result = LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown_keys)
+    return result, len(last_file)
 
 
-def filter_by_hashtag(corpus: Corpus, tag: str) -> Corpus:
-    """Sub-corpus of records carrying ``tag`` (case-insensitive, leading '#' stripped)."""
-    if not tag:
-        raise ValueError("tag must be non-empty")
-    wanted = tag.lstrip("#").lower()
-    if not wanted:
-        raise ValueError("tag must be non-empty after stripping '#'")
-    if _BAD_HASHTAG_CHAR.search(wanted):
-        raise ValueError("tag contains whitespace or '#' and can never match")
-    kept = tuple(r for r in corpus.records if wanted in r.hashtags)
-    return Corpus(kept)
-
-
-def merge_corpora(results: list[LoadResult]) -> LoadResult:
-    """Concatenate loaded corpora; duplicates across files keep first occurrence."""
-    records: list[TweetRecord] = []
-    invalid: list[LineError] = []
-    unknown = 0
-    seen: set[str] = set()
-    for result in results:
-        invalid.extend(result.invalid)
-        unknown += result.unknown_key_count
-        for record in result.corpus.records:
-            if record.tweet_id in seen:
-                continue
-            seen.add(record.tweet_id)
-            records.append(record)
-    return LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown)
+def load_corpus(path: str | Path) -> LoadResult:
+    """Load one corpus file, keeping every valid record in file order (see :func:`load_corpora`)."""
+    return load_corpora([path])[0]

@@ -4,15 +4,17 @@ These deliberately enumerate pairs/triples the slow way and never call the
 library's counting helpers, so they stay a genuinely independent check. The
 text references are the plain loops the library's stemmer and ``normalize``
 shortcut: no memo, no suffix index, no early stop. The ingestion reference
-restates the per-line rules with ``json.loads`` and plain field checks, and
-shares no helper with ``herdpulse.corpus``.
+restates the per-line rules with ``json.loads`` and plain field checks, reads
+timestamps by hand instead of with ``fromisoformat``, loads several files the
+old way (each file whole, then merge, then filter), and shares no helper with
+``herdpulse.corpus``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
 from herdpulse.graph import SocialGraph
@@ -141,6 +143,64 @@ CORPUS_KEYS = (
 )
 
 
+def reference_timestamp(value) -> datetime:
+    """An RFC 3339 date-time or a bare date, read field by field, as UTC.
+
+    ``YYYY-MM-DD``, optionally followed by ``T``, ``t`` or a space,
+    ``HH:MM:SS``, a ``.digits`` fraction (dropped) and a zone (``Z``, ``z`` or
+    ``+HH:MM``/``-HH:MM`` with hours 00-23 and minutes 00-59); no zone is
+    UTC. Surrounding whitespace is ignored. Raises ``ValueError`` with the
+    line's reason.
+    """
+    if not isinstance(value, str) or not value:
+        raise ValueError("timestamp must be an ISO-8601 string")
+    malformed = ValueError(f"timestamp not ISO-8601: {value!r}")
+
+    def number(piece: str) -> int:
+        if any(ch not in "0123456789" for ch in piece):  # int() would take '+1', ' 1' or '١'
+            raise malformed
+        return int(piece)
+
+    text = value.strip()
+    if len(text) < 10 or text[4] != "-" or text[7] != "-":
+        raise malformed
+    year, month, day = number(text[0:4]), number(text[5:7]), number(text[8:10])
+    hour = minute = second = offset = 0  # offset: minutes east of UTC
+    rest = text[10:]
+    if rest:
+        if len(rest) < 9 or rest[0] not in "Tt " or rest[3] != ":" or rest[6] != ":":
+            raise malformed
+        hour, minute, second = number(rest[1:3]), number(rest[4:6]), number(rest[7:9])
+        zone = rest[9:]
+        if zone.startswith("."):
+            digits = 1
+            while digits < len(zone) and zone[digits] in "0123456789":
+                digits += 1
+            if digits == 1:
+                raise malformed
+            zone = zone[digits:]
+        if zone in ("Z", "z"):
+            zone = ""
+        if zone:
+            if len(zone) != 6 or zone[0] not in "+-" or zone[3] != ":":
+                raise malformed
+            zone_hours, zone_minutes = number(zone[1:3]), number(zone[4:6])
+            if zone_hours > 23 or zone_minutes > 59:
+                raise malformed
+            offset = (zone_hours * 60 + zone_minutes) * (1 if zone[0] == "+" else -1)
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    month_days = [31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+    if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= month_days[month - 1]):
+        raise malformed
+    if hour > 23 or minute > 59 or second > 59:
+        raise malformed
+    try:
+        moment = datetime(year, month, day, hour, minute, second) - timedelta(minutes=offset)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {value!r}") from None
+    return moment.replace(tzinfo=timezone.utc)
+
+
 def _reference_record(line: str) -> tuple[tuple, int]:
     """One non-blank line -> (field values in ``CORPUS_KEYS`` order,
     unknown-key count); raises ``ValueError`` with the line's reason."""
@@ -167,22 +227,7 @@ def _reference_record(line: str) -> tuple[tuple, int]:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
 
-    value = obj["timestamp"]
-    if not isinstance(value, str) or not value:
-        raise ValueError("timestamp must be an ISO-8601 string")
-    stamp = value.strip()
-    if stamp.endswith(("Z", "z")):
-        stamp = stamp[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(stamp)
-    except ValueError:
-        raise ValueError(f"timestamp not ISO-8601: {value!r}") from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    try:
-        timestamp = parsed.astimezone(timezone.utc).replace(microsecond=0)
-    except OverflowError:
-        raise ValueError(f"timestamp out of range: {value!r}") from None
+    timestamp = reference_timestamp(obj["timestamp"])
 
     raw_tags = obj["hashtags"]
     if not isinstance(raw_tags, list):
@@ -250,3 +295,27 @@ def reference_load_lines(lines: list[str]) -> tuple[list[tuple], list[tuple[int,
         records.append(fields)
         unknown += extra
     return records, errors, unknown
+
+
+def reference_load_files(files: list[list[str]], tag: str | None) -> tuple | None:
+    """Several files the old way: load each whole, merge, then filter by ``tag``.
+
+    Returns (kept records, ``(line_no, reason)`` per invalid line over all
+    files in order, unknown keys, records after the merge and before the
+    filter), or None when a file has more than half of its non-empty lines
+    invalid. A tweet_id already kept from an earlier file is dropped from a
+    later one, whether or not either carries the tag.
+    """
+    merged, errors, unknown, seen = [], [], 0, set()
+    for lines in files:
+        records, file_errors, file_unknown = reference_load_lines(lines)
+        if 2 * len(file_errors) > len(records) + len(file_errors):
+            return None
+        errors += file_errors
+        unknown += file_unknown
+        for fields in records:
+            if fields[0] not in seen:
+                seen.add(fields[0])
+                merged.append(fields)
+    kept = merged if tag is None else [f for f in merged if tag.lstrip("#").lower() in f[4]]
+    return kept, errors, unknown, len(merged)

@@ -333,6 +333,18 @@ def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, case):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "score"])
+def test_bad_hashtag_fails_before_any_corpus_is_read(tmp_path, capsys, command):
+    junk = write_corpus(tmp_path, ["not json", "not json"], name="junk.jsonl")
+    for corpus in [str(tmp_path / "missing.jsonl"), junk]:
+        out_dir = tmp_path / "out"
+        assert main([command, "--corpus", corpus, "--hashtag", "a b", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --hashtag 'a b': tag contains whitespace or '#' and can never match\n"
+        )
+        assert not out_dir.exists()
+
+
 EXISTS = "[Errno 17] File exists: '{}'"
 OUT_IS_A_FILE = {
     "analyze": (["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out"], EXISTS),

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from herdpulse import load_corpus
 from herdpulse.corpus import (
@@ -15,12 +15,12 @@ from herdpulse.corpus import (
     CorpusFormatError,
     LineError,
     TweetRecord,
-    filter_by_hashtag,
-    merge_corpora,
+    _parse_timestamp,
+    load_corpora,
 )
 
-from .conftest import make_corpus, make_record, record_line
-from .oracles import reference_load_lines
+from .conftest import make_record, record_line
+from .oracles import reference_load_files, reference_load_lines, reference_timestamp
 
 
 def test_three_valid_lines(corpus_file):
@@ -244,38 +244,82 @@ def test_save_then_load_round_trips_full_unicode(records):
         assert result.invalid == []
 
 
-def test_filter_by_hashtag_direct_membership():
-    corpus = make_corpus(
+def _kept_ids(result):
+    return [r.tweet_id for r in result.corpus.records]
+
+
+def test_filter_by_hashtag_direct_membership(corpus_file):
+    path = corpus_file(
         [
-            make_record(tweet_id="t1", hashtags=["westbengal"]),
-            make_record(tweet_id="t2", hashtags=["cricket"]),
+            record_line(tweet_id="t1", hashtags=["westbengal"]),
+            record_line(tweet_id="t2", hashtags=["cricket"]),
         ]
     )
-    kept = filter_by_hashtag(corpus, "#WestBengal")
-    assert [r.tweet_id for r in kept.records] == ["t1"]
+    result, loaded = load_corpora([path], "#WestBengal")
+    assert _kept_ids(result) == ["t1"]
+    assert loaded == 2
 
 
-def test_filter_by_hashtag_no_match_is_empty():
-    corpus = make_corpus([make_record(tweet_id="t1", hashtags=["cricket"])])
-    assert len(filter_by_hashtag(corpus, "football").records) == 0
+def test_filter_by_hashtag_no_match_is_empty(corpus_file):
+    path = corpus_file([record_line(tweet_id="t1", hashtags=["cricket"])])
+    result, loaded = load_corpora([path], "football")
+    assert _kept_ids(result) == []
+    assert (loaded, result.invalid) == (1, [])
 
 
-def test_filter_multi_tag_record_matches():
-    corpus = make_corpus([make_record(tweet_id="t1", hashtags=["westbengal", "bengalelection2021"])])
-    assert len(filter_by_hashtag(corpus, "bengalelection2021").records) == 1
+def test_filter_multi_tag_record_matches(corpus_file):
+    path = corpus_file([record_line(tweet_id="t1", hashtags=["westbengal", "bengalelection2021"])])
+    assert _kept_ids(load_corpora([path], "bengalelection2021")[0]) == ["t1"]
 
 
-def test_filter_rejects_empty_tag():
-    corpus = make_corpus([make_record()])
-    with pytest.raises(ValueError):
-        filter_by_hashtag(corpus, "")
+def test_filter_rejects_empty_tag(tmp_path):
+    # the tag is checked before any file is opened, so the missing file does not fail first
+    for tag, reason in [
+        ("", "tag must be non-empty"),
+        ("#", "tag must be non-empty after stripping '#'"),
+        ("a b", "tag contains whitespace or '#' and can never match"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            load_corpora([tmp_path / "missing.jsonl"], tag)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == reason
 
 
 def test_merge_corpora_dedups_across_files(corpus_file):
     p1 = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2")], name="a.jsonl")
     p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t3")], name="b.jsonl")
-    merged = merge_corpora([load_corpus(p1), load_corpus(p2)])
-    assert [r.tweet_id for r in merged.corpus.records] == ["t1", "t2", "t3"]
+    result, loaded = load_corpora([p1, p2])
+    assert _kept_ids(result) == ["t1", "t2", "t3"]
+    assert (loaded, result.invalid) == (3, [])
+
+
+def test_first_occurrence_wins_across_files_before_the_filter(corpus_file):
+    # t1 first lacks the tag, so its tagged copy in b is dropped, not kept
+    p1 = corpus_file([record_line(tweet_id="t1", text="first")], name="a.jsonl")
+    p2 = corpus_file(
+        [record_line(tweet_id="t1", hashtags=["x"]), record_line(tweet_id="t2", hashtags=["x"])],
+        name="b.jsonl",
+    )
+    result, loaded = load_corpora([p1, p2], "x")
+    assert _kept_ids(result) == ["t2"]
+    assert (loaded, result.invalid) == (2, [])
+    assert [r.text for r in load_corpora([p1, p2])[0].corpus.records] == ["first", "hello"]
+
+
+def test_duplicate_within_a_later_file_is_invalid_there(corpus_file):
+    p1 = corpus_file([record_line(tweet_id="t1")], name="a.jsonl")
+    p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t1"), record_line(tweet_id="t1")], name="b.jsonl")
+    result, loaded = load_corpora([p1, p2])
+    assert _kept_ids(result) == ["t1", "t2"]
+    assert result.invalid == [LineError(3, "duplicate tweet_id: 't1'")]
+    assert loaded == 2
+
+
+def test_mostly_invalid_later_file_is_fatal(corpus_file):
+    p1 = corpus_file([record_line(tweet_id="t1")], name="a.jsonl")
+    p2 = corpus_file([record_line(tweet_id="t2"), "junk", "junk"], name="b.jsonl")
+    with pytest.raises(CorpusFormatError, match="2 of 3 lines invalid in .*b.jsonl"):
+        load_corpora([p1, p2], "x")
 
 
 @given(
@@ -285,16 +329,19 @@ def test_merge_corpora_dedups_across_files(corpus_file):
     wanted=st.sampled_from(["alpha", "beta", "gamma"]),
 )
 def test_filter_result_is_subsequence(tags, wanted):
-    corpus = make_corpus(
-        [make_record(tweet_id=f"t{i}", hashtags=ts) for i, ts in enumerate(tags)]
-    )
-    kept = filter_by_hashtag(corpus, wanted).records
-    ids = [r.tweet_id for r in corpus.records]
-    kept_ids = [r.tweet_id for r in kept]
+    lines = [record_line(tweet_id=f"t{i}", hashtags=ts) for i, ts in enumerate(tags)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        everything = load_corpus(path).corpus.records
+        kept, loaded = load_corpora([path], wanted)
+    ids = [r.tweet_id for r in everything]
+    kept_ids = _kept_ids(kept)
     # subsequence check: the kept ids appear in the same relative order
     it = iter(ids)
     assert all(k in it for k in kept_ids)
-    assert all(wanted in r.hashtags for r in kept)
+    assert all(wanted in r.hashtags for r in kept.corpus.records)
+    assert loaded == len(ids)
 
 
 def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
@@ -310,6 +357,11 @@ def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
     result = load_corpus(path)
     non_empty = sum(1 for line in lines if line.strip())
     assert len(result.corpus.records) + len(result.invalid) == non_empty
+
+
+def _plain(fields):
+    """A record's fields with the timestamp as text plus whether it is UTC."""
+    return fields[:3] + (fields[3].isoformat(), fields[3].tzinfo is timezone.utc) + fields[4:]
 
 
 def rarely(usual, odd):
@@ -395,9 +447,105 @@ def test_load_corpus_matches_reference_ingestion(lines, padding):
             return
         result = load_corpus(path)
 
-    def plain(fields):
-        return fields[:3] + (fields[3].isoformat(), fields[3].tzinfo is timezone.utc) + fields[4:]
-
-    assert [plain(tuple(r)) for r in result.corpus.records] == [plain(r) for r in records]
+    assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
     assert [(e.line_no, e.reason) for e in result.invalid] == errors
     assert result.unknown_key_count == unknown
+
+
+# few ids and tags, so ids repeat within and across files, with and without the tag
+SIMPLE_LINES = st.builds(
+    lambda tweet_id, tags, extra: record_line(tweet_id=tweet_id, hashtags=tags, **extra),
+    st.sampled_from(["t1", "t2", "t3", "t4"]),
+    st.sampled_from([[], ["x"], ["#X", "y"], ["y"]]),
+    st.sampled_from([{}, {"lang": "en"}]),
+)
+CORPUS_FILES = st.lists(st.lists(rarely(SIMPLE_LINES, corpus_lines()), max_size=6), min_size=1, max_size=3)
+
+
+@given(CORPUS_FILES, st.sampled_from([None, "x", "#X", "y"]))
+@example([[record_line(tweet_id="t1")], [record_line(tweet_id="t1", hashtags=["x"])]], "x")
+@example([[record_line(tweet_id="t1")], [record_line(tweet_id="t1"), record_line(tweet_id="t1")]], None)
+def test_load_corpora_matches_load_merge_filter(files, tag):
+    expected = reference_load_files(files, tag)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"corpus{i}.jsonl" for i in range(len(files))]
+        for path, lines in zip(paths, files):
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if expected is None:
+            with pytest.raises(CorpusFormatError):
+                load_corpora(paths, tag)
+            return
+        result, loaded = load_corpora(paths, tag)
+    records, errors, unknown, merged = expected
+    assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
+    assert [(e.line_no, e.reason) for e in result.invalid] == errors
+    assert result.unknown_key_count == unknown
+    assert loaded == merged
+
+
+@st.composite
+def stamps(draw):
+    """Near-RFC 3339 text: fields of the right or wrong width and range, odd
+    separators, fractions and zones, sometimes padded with whitespace."""
+
+    def number(low: int, high: int, width: int) -> str:
+        return f"{draw(st.integers(low, high)):0{draw(rarely(st.just(width), st.integers(1, width + 1)))}d}"
+
+    text = f"{number(0, 10000, 4)}-{number(0, 13, 2)}-{number(0, 32, 2)}"
+    if draw(st.booleans()):
+        text += draw(rarely(st.sampled_from("Tt "), st.sampled_from(["", "x", "_", "\t", "TT"])))
+        text += f"{number(0, 24, 2)}:{number(0, 60, 2)}:{number(0, 61, 2)}"
+        text += draw(st.just("") | st.text("0123456789", max_size=9).map(".".__add__))
+        text += draw(
+            st.sampled_from(["", "Z", "z"])
+            | st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 25), st.integers(0, 61))
+            | st.sampled_from(["+0530", "+05", "+05:30:15", " +05:30", "Zz", "UTC"])
+        )
+    return draw(rarely(st.just(text), st.sampled_from([f" {text}", f"{text}\n", f"{text}\u3000", f"\u0661{text[1:]}"])))
+
+
+# read by 3.11's datetime.fromisoformat (but for 2021-213), none of them RFC 3339
+NOT_RFC3339 = [
+    "2021-W31-1",
+    "2021-W31",
+    "20210801T000000Z",
+    "20210801",
+    "2021-213",
+    "2021-08-01+05:30",
+    "2021-08-01x12:00:00",
+    "2021-08-01T12",
+    "2021-08-01T1200",
+    "2021-08-01T12:00",
+    "2021-08-01T12:00:00,5",
+    "2021-08-01T12:00:00.Z",
+    "2021-08-01T12:00:00+0530",
+    "2021-08-01T12:00:00+05",
+    "2021-08-01T12:00:00+05:30:15",
+    "2021-08-01T12:00:00+05:60",
+    "2021-08-01T12:00:00 +05:30",
+]
+
+
+@given(stamps() | st.text("0123456789-:.+Zz T", max_size=30) | st.sampled_from(NOT_RFC3339))
+@example("0001-01-01T00:00:00+00:01")
+@example("9999-12-31T23:59:59.9999999-00:01")
+@example("2000-02-29 23:59:59.000001z")
+@example("1900-02-29T00:00:00")
+def test_timestamp_matches_hand_written_grammar(value):
+    try:
+        expected = reference_timestamp(value)
+    except ValueError as err:
+        with pytest.raises(ValueError) as caught:
+            _parse_timestamp(value)
+        assert str(caught.value) == str(err)
+        return
+    parsed = _parse_timestamp(value)
+    assert (parsed.isoformat(), parsed.tzinfo) == (expected.isoformat(), timezone.utc)
+
+
+@pytest.mark.parametrize("stamp", NOT_RFC3339)
+def test_timestamp_outside_the_grammar_is_a_line_error(corpus_file, stamp):
+    path = corpus_file([record_line(tweet_id="t0"), record_line(tweet_id="t1", timestamp=stamp)])
+    result = load_corpus(path)
+    assert _kept_ids(result) == ["t0"]
+    assert result.invalid == [LineError(2, f"timestamp not ISO-8601: {stamp!r}")]

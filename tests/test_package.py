@@ -39,11 +39,11 @@ PURE_MODULES = ["preprocess.py", "sentiment.py", "herd.py", "svgplot.py"]
 UNUSED_AT_STARTUP = ("urllib.request", "http.client", "email", "ssl", "dataclasses", "inspect")
 
 
-def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+def _python(*args: str, env_overrides: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **(env_overrides or {})},
         capture_output=True,
         text=True,
         timeout=120,
@@ -128,6 +128,27 @@ def test_every_public_definition_has_a_reader():
             if not any(re.search(rf"\b{node.name}\b", other) for other in others):
                 unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert unread == []
+
+
+def test_sources_parse_as_python_3_10():
+    # feature_version is best effort, so this is a floor for the oldest supported version, not a proof
+    for path in sorted([*(SRC / "herdpulse").glob("*.py"), *(REPO / "tests").glob("*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_demo_bundle_does_not_depend_on_the_hash_seed(tmp_path):
+    bundles = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"bundle-{seed}"
+        proc = _python(
+            "-m", "herdpulse.cli", "analyze", "--corpus", "demos/data/demo_tweets.jsonl",
+            "--config", "demos/data/demo_config.json", "--out", str(out),
+            cwd=REPO, env_overrides={"PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        bundles.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(bundles[0]) == 10
+    assert bundles[0] == bundles[1]
 
 
 def test_cli_import_leaves_network_modules_unloaded():
