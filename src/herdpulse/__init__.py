@@ -15,6 +15,6 @@ __version__ = "0.1.0"
 from .corpus import load_corpus
 from .preprocess import preprocess
 from .sentiment import score_tokens, summarize
-from .graph import build_graph, clustering_stats, write_edgelist
+from .graph import build_graph, clustering_stats
 from .config import default_config, load_config
 from .pipeline import analyze_corpus

@@ -16,7 +16,6 @@ from .config import ConfigError, RunConfig, default_config, load_config
 from .corpus import CorpusFormatError, LoadResult, load_corpora, load_corpus
 from .pipeline import (
     NO_CAMP_SIGNAL,
-    RunInfo,
     analyze_corpus,
     formatted_scores,
     score_corpus,
@@ -43,7 +42,7 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _load_inputs(paths: list[str], hashtag: str | None) -> tuple[LoadResult, int]:
+def _load_inputs(paths: list[str], hashtag: str | None) -> LoadResult:
     """Load corpus files; a bad tag fails as a config error before any file is read."""
     try:
         return load_corpora(paths, hashtag)
@@ -85,8 +84,8 @@ def cmd_validate(args) -> int:
 
 def cmd_score(args) -> int:
     config = _resolve_config(args.config)
-    result, _ = _load_inputs(args.corpus, args.hashtag)
-    _, scores, summary = score_corpus(result.corpus, config)
+    loaded = _load_inputs(args.corpus, args.hashtag)
+    _, scores, summary = score_corpus(loaded.corpus, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,20 +96,13 @@ def cmd_score(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _resolve_config(args.config)
-    loaded, pre_filter = _load_inputs(args.corpus, args.hashtag)
+    loaded = _load_inputs(args.corpus, args.hashtag)
     if not loaded.corpus.records:
         _fail("corpus is empty after loading/filtering; nothing to analyze")
         return EXIT_DATA
 
     result = analyze_corpus(loaded.corpus, config)
-    run = RunInfo(
-        config_path=args.config,
-        corpus_paths=list(args.corpus),
-        invalid_lines=len(loaded.invalid),
-        loaded_records=pre_filter,
-        filtered_records=len(loaded.corpus.records),
-    )
-    write_bundle(result, config, args.out, run)
+    write_bundle(result, config, args.out, loaded, args.config, list(args.corpus))
 
     _print_summary(result.summary)
     print(f"herd index: {result.herd.herd_index:.6f} (flag: {result.herd.herd_flag})")

@@ -45,15 +45,16 @@ class RunConfig(NamedTuple):
 def _data_rows(path: str | Path, fields: int) -> Iterator[tuple[str, list[str]]]:
     """(``path:line``, fields) of each line of a UTF-8 data file that is not blank or a ``#`` comment.
 
-    A line is split on tabs into exactly ``fields`` fields; a word list (one field) is not split.
+    As in a corpus, a leading BOM is dropped and lines end at LF only (a CRLF's CR is trailing
+    whitespace). A line is split on tabs into exactly ``fields`` fields; a word list is not split.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not valid UTF-8") from None
     except OSError as err:
         raise ConfigError(f"cannot read data file: {err}") from None
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t") if fields > 1 else [line]

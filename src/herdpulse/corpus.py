@@ -74,11 +74,12 @@ class LineError(NamedTuple):
 
 
 class LoadResult(NamedTuple):
-    """Outcome of loading one corpus file: records plus per-line errors."""
+    """Outcome of a load: kept records, per-line errors and the counts before the filter."""
 
     corpus: Corpus
     invalid: list[LineError]
     unknown_key_count: int
+    loaded_records: int  # distinct valid tweet_ids across the files
 
 
 def _parse_timestamp(value) -> datetime:
@@ -185,8 +186,8 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
     return record, unknown
 
 
-def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> tuple[LoadResult, int]:
-    """Load corpus files in one pass; returns (result, distinct valid tweet_ids).
+def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadResult:
+    """Load corpus files in one pass.
 
     Lines end at LF only and are decoded one by one, so a raw U+2028 in a
     text stays inside its line and bad UTF-8 spoils only its own line; a
@@ -246,10 +247,9 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> tuple[L
                 f"{bad} of {non_empty} lines invalid in {path}; file does not look like a corpus"
             )
 
-    result = LoadResult(corpus=Corpus(tuple(records)), invalid=invalid, unknown_key_count=unknown_keys)
-    return result, len(last_file)
+    return LoadResult(Corpus(tuple(records)), invalid, unknown_keys, loaded_records=len(last_file))
 
 
 def load_corpus(path: str | Path) -> LoadResult:
     """Load one corpus file, keeping every valid record in file order (see :func:`load_corpora`)."""
-    return load_corpora([path])[0]
+    return load_corpora([path])

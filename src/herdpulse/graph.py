@@ -9,7 +9,6 @@ brute-force oracles in the test suite can match them exactly.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Corpus
@@ -21,32 +20,14 @@ class SocialGraph:
     def __init__(self):
         self._adj: dict[str, set[str]] = {}
 
-    def add_node(self, node: str) -> None:
-        self._adj.setdefault(node, set())
-
-    def add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            return
-        self.add_node(a)
-        self.add_node(b)
-        self._adj[a].add(b)
-        self._adj[b].add(a)
-
     def __len__(self) -> int:
         return len(self._adj)
 
     def nodes(self) -> list[str]:
         return sorted(self._adj)
 
-    def neighbors(self, node: str) -> set[str]:
-        return self._adj[node]
-
     def degree(self, node: str) -> int:
         return len(self._adj[node])
-
-    def edges(self) -> list[tuple[str, str]]:
-        """Each undirected edge once, as (a, b) with a < b, sorted."""
-        return sorted((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
@@ -62,14 +43,15 @@ class ClusteringStats(NamedTuple):
     ck_curve: list[tuple[int, float]]
     triangles: int
     triples: int
+    edges: int
 
 
 def build_graph(corpus: Corpus) -> SocialGraph:
     """Graph over authors, mention targets and retweet targets.
 
     An undirected edge {a, b} exists when a mentions b or a retweets b;
-    self-interactions are dropped and repeats collapse. Nodes and neighbors
-    enter in the order ``add_node``/``add_edge`` calls would add them.
+    self-interactions are dropped and repeats collapse. Each author enters
+    when first seen, then each of its new targets in record order.
     """
     graph = SocialGraph()
     adj = graph._adj
@@ -125,7 +107,8 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     intersections of sets of at most sqrt(2E) nodes. t_i is also the number of
     edges among i's neighbors: local C_i = 2 t_i / (k (k - 1)), 0 below
     degree 2; triangles = sum(t_i) // 3; triples = sum(k (k - 1) / 2);
-    transitivity = 3 triangles / triples, 0 without triples. Each float comes
+    transitivity = 3 triangles / triples, 0 without triples; edges = the
+    summed out-set sizes, as each edge sits in one out-set. Each float comes
     from one final division of exact integers; mean clustering and C(k) (mean
     C_i per degree) are exact sums; an empty graph scores 0.
     """
@@ -166,10 +149,6 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
         ck_curve=[(k, math.fsum(vals) / len(vals)) for k, vals in sorted(by_degree.items())],
         triangles=triangles,
         triples=triples,
+        edges=sum(map(len, out)),
     )
 
-
-def write_edgelist(graph: SocialGraph, path: str | Path) -> None:
-    """Export "a<TAB>b" lines, each edge once with a < b, for external tools."""
-    lines = [f"{a}\t{b}" for a, b in graph.edges()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig
-from .corpus import Corpus
-from .graph import ClusteringStats, SocialGraph, build_graph, clustering_stats
+from .corpus import Corpus, LoadResult
+from .graph import ClusteringStats, build_graph, clustering_stats
 from .herd import (
     CampAssignments,
     HerdReport,
@@ -47,7 +47,6 @@ def fixed(value: float) -> str:
 class AnalysisResult(NamedTuple):
     scores: list[SentimentScore]
     summary: CorpusSummary
-    graph: SocialGraph
     stats: ClusteringStats
     herd: HerdReport
     assignments: CampAssignments
@@ -71,8 +70,7 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     prediction is ``None`` and ``prediction.json`` carries :data:`NO_CAMP_SIGNAL`.
     """
     tokens, scores, summary = score_corpus(corpus, config)
-    graph = build_graph(corpus)
-    stats = clustering_stats(graph)
+    stats = clustering_stats(build_graph(corpus))
     profiles = profile_authors(scores, corpus, stats.local)
     herd = herd_report(profiles, config.band_edges, config.herd_threshold)
 
@@ -80,7 +78,6 @@ def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
     return AnalysisResult(
         scores=scores,
         summary=summary,
-        graph=graph,
         stats=stats,
         herd=herd,
         assignments=assignments,
@@ -150,8 +147,8 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
     files["scores.csv"] = scores_csv(result.scores, rows)
     files["graph_summary.json"] = _json_text(
         {
-            "nodes": len(result.graph),
-            "edges": result.graph.edge_count(),
+            "nodes": len(stats.degree),
+            "edges": stats.edges,
             "mean_clustering": stats.mean_clustering,
             "global_clustering": stats.global_clustering,
         }
@@ -177,18 +174,15 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
     return files
 
 
-class RunInfo(NamedTuple):
-    """Provenance recorded in the manifest: input paths and pre-analysis counts."""
-
-    config_path: str | None
-    corpus_paths: list[str]
-    invalid_lines: int
-    loaded_records: int
-    filtered_records: int
-
-
-def write_bundle(result: AnalysisResult, config: RunConfig, out_dir: str | Path, run: RunInfo) -> Path:
-    """Write all report files plus manifest.json; returns the manifest path."""
+def write_bundle(
+    result: AnalysisResult,
+    config: RunConfig,
+    out_dir: str | Path,
+    loaded: LoadResult,
+    config_path: str | None,
+    corpus_paths: list[str],
+) -> Path:
+    """Write the report files and a manifest of the inputs and ``loaded``'s counts; returns its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -201,15 +195,15 @@ def write_bundle(result: AnalysisResult, config: RunConfig, out_dir: str | Path,
 
     manifest = {
         "pipeline_version": PIPELINE_VERSION,
-        "config_path": run.config_path,
-        "corpus_paths": run.corpus_paths,
+        "config_path": config_path,
+        "corpus_paths": corpus_paths,
         "stage_counts": {
-            "invalid_lines": run.invalid_lines,
-            "loaded_records": run.loaded_records,
-            "after_hashtag_filter": run.filtered_records,
+            "invalid_lines": len(loaded.invalid),
+            "loaded_records": loaded.loaded_records,
+            "after_hashtag_filter": len(loaded.corpus.records),
             "scored": len(result.scores),
-            "graph_nodes": len(result.graph),
-            "graph_edges": result.graph.edge_count(),
+            "graph_nodes": len(result.stats.degree),
+            "graph_edges": result.stats.edges,
             "profiled_authors": sum(band.count for band in result.herd.bands),
             "assigned": len(result.assignments.by_tweet),
             "camp_ties": result.assignments.tie_count,

@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from herdpulse.corpus import Corpus, TweetRecord
+from herdpulse.graph import build_graph
 
 
 def make_record(
@@ -31,6 +32,13 @@ def make_record(
 
 def make_corpus(records):
     return Corpus(records=tuple(records))
+
+
+def graph_from_edges(edges, isolated=()):
+    """``build_graph`` over one record per isolated node and one mention per edge."""
+    records = [make_record(tweet_id=f"n{i}", author_id=node) for i, node in enumerate(isolated)]
+    records += [make_record(tweet_id=f"e{i}", author_id=a, mentions=[b]) for i, (a, b) in enumerate(edges)]
+    return build_graph(make_corpus(records))
 
 
 def record_line(

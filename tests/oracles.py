@@ -1,13 +1,15 @@
 """Independent brute-force references for the clustering measures, text and ingestion.
 
 These deliberately enumerate pairs/triples the slow way and never call the
-library's counting helpers, so they stay a genuinely independent check. The
-text references are the plain loops the library's stemmer and ``normalize``
-shortcut: no memo, no suffix index, no early stop. The ingestion reference
-restates the per-line rules with ``json.loads`` and plain field checks, reads
-timestamps by hand instead of with ``fromisoformat``, loads several files the
-old way (each file whole, then merge, then filter), and shares no helper with
-``herdpulse.corpus``.
+library's counting helpers, so they stay a genuinely independent check; the
+module imports nothing from ``herdpulse``. Graphs are edge lists, read here
+as a plain ``node -> neighbors`` dict that :func:`adjacency` builds. The text
+references are the plain loops the library's stemmer and ``normalize``
+shortcut: no memo, no suffix index, no regex, no early stop. The ingestion
+reference restates the per-line rules with ``json.loads`` and plain field
+checks, reads timestamps by hand instead of with ``fromisoformat``, loads
+several files the old way (each file whole, then merge, then filter), and
+shares no helper with ``herdpulse.corpus``.
 """
 
 from __future__ import annotations
@@ -17,29 +19,36 @@ import random
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
-from herdpulse.graph import SocialGraph
-from herdpulse.preprocess import _normalize_pass
+Edge = tuple[str, str]
 
 
-def brute_force_local(graph: SocialGraph, node: str) -> float:
-    neighbors = sorted(graph.neighbors(node))
+def adjacency(edges: list[Edge], nodes=()) -> dict[str, set[str]]:
+    """The undirected simple graph on ``nodes`` and every end of ``edges``;
+    a self-pair adds its node but no edge, a repeated pair one edge."""
+    adj: dict[str, set[str]] = {node: set() for node in nodes}
+    for a, b in edges:
+        adj.setdefault(a, set())
+        adj.setdefault(b, set())
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def brute_force_local(adj: dict[str, set[str]], node: str) -> float:
+    neighbors = sorted(adj[node])
     k = len(neighbors)
     if k < 2:
         return 0.0
-    connected = sum(1 for a, b in combinations(neighbors, 2) if b in graph.neighbors(a))
+    connected = sum(1 for a, b in combinations(neighbors, 2) if b in adj[a])
     return 2 * connected / (k * (k - 1))
 
 
-def brute_force_global(graph: SocialGraph) -> float:
+def brute_force_global(adj: dict[str, set[str]]) -> float:
     closed = 0
     open_ = 0
-    nodes = graph.nodes()
-    for a, b, c in combinations(nodes, 3):
-        edges = (
-            (b in graph.neighbors(a))
-            + (c in graph.neighbors(a))
-            + (c in graph.neighbors(b))
-        )
+    for a, b, c in combinations(sorted(adj), 3):
+        edges = (b in adj[a]) + (c in adj[a]) + (c in adj[b])
         if edges == 3:
             closed += 3  # a triangle is three closed triples, one per center
         elif edges == 2:
@@ -48,17 +57,13 @@ def brute_force_global(graph: SocialGraph) -> float:
     return closed / total if total else 0.0
 
 
-def brute_force_counts(graph: SocialGraph) -> tuple[int, int]:
+def brute_force_counts(adj: dict[str, set[str]]) -> tuple[int, int]:
     """(triangles, connected triples) over every 3-node set: a set with three
     edges is one triangle and three closed triples, one with two edges is one
     open triple."""
     triangles = open_ = 0
-    for a, b, c in combinations(graph.nodes(), 3):
-        edges = (
-            (b in graph.neighbors(a))
-            + (c in graph.neighbors(a))
-            + (c in graph.neighbors(b))
-        )
+    for a, b, c in combinations(sorted(adj), 3):
+        edges = (b in adj[a]) + (c in adj[a]) + (c in adj[b])
         if edges == 3:
             triangles += 1
         elif edges == 2:
@@ -66,46 +71,42 @@ def brute_force_counts(graph: SocialGraph) -> tuple[int, int]:
     return triangles, 3 * triangles + open_
 
 
-def random_graph(n: int, p: float, rng: random.Random) -> SocialGraph:
-    graph = SocialGraph()
-    names = [f"v{i}" for i in range(n)]
-    for name in names:
-        graph.add_node(name)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                graph.add_edge(names[i], names[j])
-    return graph
+def brute_force_edge_count(adj: dict[str, set[str]]) -> int:
+    """Node pairs joined by an edge, over every 2-node set."""
+    return sum(1 for a, b in combinations(sorted(adj), 2) if b in adj[a])
 
 
-def random_tree(n: int, rng: random.Random) -> SocialGraph:
-    graph = SocialGraph()
-    graph.add_node("v0")
-    for i in range(1, n):
-        graph.add_edge(f"v{i}", f"v{rng.randrange(i)}")
-    return graph
+def vertex_names(n: int) -> list[str]:
+    """``v0`` .. ``v{n-1}``: the nodes of the generated graphs, isolated ones included."""
+    return [f"v{i}" for i in range(n)]
 
 
-def complete_graph(n: int) -> SocialGraph:
-    graph = SocialGraph()
-    for i in range(n):
-        for j in range(i + 1, n):
-            graph.add_edge(f"v{i}", f"v{j}")
-    return graph
+def random_graph(n: int, p: float, rng: random.Random) -> list[Edge]:
+    """Erdos-Renyi G(n, p) edges over ``vertex_names(n)``."""
+    names = vertex_names(n)
+    return [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
 
 
-def preferential_attachment_graph(n: int, m: int, rng: random.Random) -> SocialGraph:
+def random_tree(n: int, rng: random.Random) -> list[Edge]:
+    """A uniform random recursive tree over ``vertex_names(n)`` (``n >= 2``)."""
+    return [(f"v{i}", f"v{rng.randrange(i)}") for i in range(1, n)]
+
+
+def complete_graph(n: int) -> list[Edge]:
+    return list(combinations(vertex_names(n), 2))
+
+
+def preferential_attachment_graph(n: int, m: int, rng: random.Random) -> list[Edge]:
     """Hub-heavy graph (Barabasi & Albert 1999): each new node links to up to
     ``m`` earlier nodes, each picked with probability proportional to degree."""
-    graph = SocialGraph()
-    graph.add_edge("v0", "v1")
+    edges = [("v0", "v1")]
     ends = ["v0", "v1"]  # every edge end once, so a uniform pick is degree-weighted
     for i in range(2, n):
         new = f"v{i}"
         for target in sorted({rng.choice(ends) for _ in range(m)}):
-            graph.add_edge(new, target)
+            edges.append((new, target))
             ends += [new, target]
-    return graph
+    return edges
 
 
 def reference_stem(token: str, table: list[tuple[str, str, int]]) -> str:
@@ -122,10 +123,29 @@ def reference_stem(token: str, table: list[tuple[str, str, int]]) -> str:
         token = stemmed
 
 
+def reference_normalize_pass(text: str) -> str:
+    """One cleaning pass, char by char: lowercase; drop each run that starts
+    with "http" or "@" up to the next whitespace; drop '#'; turn each run of
+    chars outside a-z into one space; trim."""
+    text = text.lower()
+    kept = []
+    i = 0
+    while i < len(text):
+        if text.startswith("http", i) or text[i] == "@":
+            while i < len(text) and not text[i].isspace():
+                i += 1
+            kept.append(" ")
+        else:
+            kept.append(text[i])
+            i += 1
+    letters = "".join(ch if "a" <= ch <= "z" else " " for ch in "".join(kept).replace("#", ""))
+    return " ".join(letters.split())
+
+
 def reference_normalize(text: str) -> str:
     """Repeat the cleaning pass until it no longer changes the text."""
     while True:
-        cleaned = _normalize_pass(text)
+        cleaned = reference_normalize_pass(text)
         if cleaned == text:
             return cleaned
         text = cleaned

@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from herdpulse import default_config, load_config
-from herdpulse.config import ConfigError, default_data_path
+from herdpulse.config import ConfigError, default_data_path, load_lexicon, load_wordlist
 
 CONFIG_MODULE = importlib.import_module("herdpulse.config")
 
@@ -110,3 +110,35 @@ def test_reference_shares_keep_strings_and_render_numbers(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"reference_shares": {"X": "47.9%", "Y": 38.1, "Z": 12}}), encoding="utf-8")
     assert load_config(path).reference_shares == {"X": "47.9%", "Y": "38.1", "Z": "12"}
+
+
+# every line break str.splitlines() honours besides LF and CRLF
+NON_LF_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", NON_LF_BREAKS, ids=[f"U+{ord(c):04X}" for c in NON_LF_BREAKS])
+def test_data_file_lines_end_at_lf_only(tmp_path, brk):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(f"# note{brk}more\ngood\t0.5\t0.5\n".encode())
+    assert load_lexicon(lexicon) == {"good": (0.5, 0.5)}
+    words = tmp_path / "words.txt"
+    words.write_bytes(f"a{brk}b\n".encode())
+    assert load_wordlist(words) == {f"a{brk}b"}
+
+
+def test_data_file_crlf_lines_load_like_lf(tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(b"# terms\r\ngood\t0.5\t0.5\r\nbad\t-0.5\t1\r\n")
+    assert load_lexicon(lexicon) == {"good": (0.5, 0.5), "bad": (-0.5, 1.0)}
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"not\r\nnever")
+    assert load_wordlist(words) == {"not", "never"}
+
+
+def test_data_file_bom_is_not_part_of_the_first_line(tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(b"\xef\xbb\xbf# terms\ngood\t0.5\t0.5\n")
+    assert load_lexicon(lexicon) == {"good": (0.5, 0.5)}
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"\xef\xbb\xbfthe\nnot\n")
+    assert load_wordlist(words) == {"the", "not"}

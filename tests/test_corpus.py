@@ -255,21 +255,21 @@ def test_filter_by_hashtag_direct_membership(corpus_file):
             record_line(tweet_id="t2", hashtags=["cricket"]),
         ]
     )
-    result, loaded = load_corpora([path], "#WestBengal")
+    result = load_corpora([path], "#WestBengal")
     assert _kept_ids(result) == ["t1"]
-    assert loaded == 2
+    assert result.loaded_records == 2
 
 
 def test_filter_by_hashtag_no_match_is_empty(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", hashtags=["cricket"])])
-    result, loaded = load_corpora([path], "football")
+    result = load_corpora([path], "football")
     assert _kept_ids(result) == []
-    assert (loaded, result.invalid) == (1, [])
+    assert (result.loaded_records, result.invalid) == (1, [])
 
 
 def test_filter_multi_tag_record_matches(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", hashtags=["westbengal", "bengalelection2021"])])
-    assert _kept_ids(load_corpora([path], "bengalelection2021")[0]) == ["t1"]
+    assert _kept_ids(load_corpora([path], "bengalelection2021")) == ["t1"]
 
 
 def test_filter_rejects_empty_tag(tmp_path):
@@ -288,9 +288,9 @@ def test_filter_rejects_empty_tag(tmp_path):
 def test_merge_corpora_dedups_across_files(corpus_file):
     p1 = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2")], name="a.jsonl")
     p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t3")], name="b.jsonl")
-    result, loaded = load_corpora([p1, p2])
+    result = load_corpora([p1, p2])
     assert _kept_ids(result) == ["t1", "t2", "t3"]
-    assert (loaded, result.invalid) == (3, [])
+    assert (result.loaded_records, result.invalid) == (3, [])
 
 
 def test_first_occurrence_wins_across_files_before_the_filter(corpus_file):
@@ -300,19 +300,19 @@ def test_first_occurrence_wins_across_files_before_the_filter(corpus_file):
         [record_line(tweet_id="t1", hashtags=["x"]), record_line(tweet_id="t2", hashtags=["x"])],
         name="b.jsonl",
     )
-    result, loaded = load_corpora([p1, p2], "x")
+    result = load_corpora([p1, p2], "x")
     assert _kept_ids(result) == ["t2"]
-    assert (loaded, result.invalid) == (2, [])
-    assert [r.text for r in load_corpora([p1, p2])[0].corpus.records] == ["first", "hello"]
+    assert (result.loaded_records, result.invalid) == (2, [])
+    assert [r.text for r in load_corpora([p1, p2]).corpus.records] == ["first", "hello"]
 
 
 def test_duplicate_within_a_later_file_is_invalid_there(corpus_file):
     p1 = corpus_file([record_line(tweet_id="t1")], name="a.jsonl")
     p2 = corpus_file([record_line(tweet_id="t2"), record_line(tweet_id="t1"), record_line(tweet_id="t1")], name="b.jsonl")
-    result, loaded = load_corpora([p1, p2])
+    result = load_corpora([p1, p2])
     assert _kept_ids(result) == ["t1", "t2"]
     assert result.invalid == [LineError(3, "duplicate tweet_id: 't1'")]
-    assert loaded == 2
+    assert result.loaded_records == 2
 
 
 def test_mostly_invalid_later_file_is_fatal(corpus_file):
@@ -334,14 +334,14 @@ def test_filter_result_is_subsequence(tags, wanted):
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         everything = load_corpus(path).corpus.records
-        kept, loaded = load_corpora([path], wanted)
+        kept = load_corpora([path], wanted)
     ids = [r.tweet_id for r in everything]
     kept_ids = _kept_ids(kept)
     # subsequence check: the kept ids appear in the same relative order
     it = iter(ids)
     assert all(k in it for k in kept_ids)
     assert all(wanted in r.hashtags for r in kept.corpus.records)
-    assert loaded == len(ids)
+    assert kept.loaded_records == len(ids)
 
 
 def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
@@ -450,6 +450,7 @@ def test_load_corpus_matches_reference_ingestion(lines, padding):
     assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
     assert [(e.line_no, e.reason) for e in result.invalid] == errors
     assert result.unknown_key_count == unknown
+    assert result.loaded_records == len(records)
 
 
 # few ids and tags, so ids repeat within and across files, with and without the tag
@@ -475,12 +476,12 @@ def test_load_corpora_matches_load_merge_filter(files, tag):
             with pytest.raises(CorpusFormatError):
                 load_corpora(paths, tag)
             return
-        result, loaded = load_corpora(paths, tag)
+        result = load_corpora(paths, tag)
     records, errors, unknown, merged = expected
     assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
     assert [(e.line_no, e.reason) for e in result.invalid] == errors
     assert result.unknown_key_count == unknown
-    assert loaded == merged
+    assert result.loaded_records == merged
 
 
 @st.composite

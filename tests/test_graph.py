@@ -1,36 +1,33 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import build_graph, clustering_stats, default_config, write_edgelist
-from herdpulse.graph import SocialGraph
+from herdpulse import build_graph, clustering_stats, default_config
 from herdpulse import graph as graph_module
 from herdpulse import pipeline
+from herdpulse.corpus import LoadResult
 
-from .conftest import make_corpus, make_record
+from .conftest import graph_from_edges, make_corpus, make_record
 from .oracles import (
+    adjacency,
     brute_force_counts,
+    brute_force_edge_count,
     brute_force_global,
     brute_force_local,
     complete_graph,
     preferential_attachment_graph,
     random_graph,
     random_tree,
+    vertex_names,
 )
-
-
-def graph_from_edges(edges, isolated=()):
-    graph = SocialGraph()
-    for node in isolated:
-        graph.add_node(node)
-    for a, b in edges:
-        graph.add_edge(a, b)
-    return graph
 
 
 TRIANGLE = graph_from_edges([("a", "b"), ("b", "c"), ("a", "c")])
@@ -46,14 +43,14 @@ def test_build_graph_mention_edge():
     corpus = make_corpus([make_record(author_id="a", mentions=["b"])])
     graph = build_graph(corpus)
     assert graph.nodes() == ["a", "b"]
-    assert graph.edges() == [("a", "b")]
+    assert graph._adj == {"a": {"b"}, "b": {"a"}}
 
 
 def test_build_graph_self_retweet_dropped():
     corpus = make_corpus([make_record(author_id="a", retweet_of="a")])
     graph = build_graph(corpus)
     assert graph.nodes() == ["a"]
-    assert graph.edges() == []
+    assert graph.edge_count() == 0
 
 
 def test_build_graph_undirected_dedup():
@@ -64,7 +61,7 @@ def test_build_graph_undirected_dedup():
         ]
     )
     graph = build_graph(corpus)
-    assert graph.edges() == [("a", "b")]
+    assert graph._adj == {"a": {"b"}, "b": {"a"}}
     assert graph.edge_count() == 1
 
 
@@ -111,11 +108,11 @@ def test_mean_clustering_anchors():
 
 
 def test_empty_graph_scores_zero():
-    stats = clustering_stats(SocialGraph())
+    stats = clustering_stats(graph_from_edges([]))
     assert stats.mean_clustering == 0.0
     assert stats.global_clustering == 0.0
     assert stats.ck_curve == []
-    assert (stats.local, stats.degree, stats.triangles, stats.triples) == ({}, {}, 0, 0)
+    assert (stats.local, stats.degree, stats.triangles, stats.triples, stats.edges) == ({}, {}, 0, 0, 0)
 
 
 def test_ck_curve_examples():
@@ -128,38 +125,41 @@ def test_local_matches_brute_force_on_random_graphs():
     rng = random.Random(1311)
     for _ in range(30):
         n = rng.randint(2, 40)
-        graph = random_graph(n, rng.uniform(0.05, 0.5), rng)
-        local = clustering_stats(graph).local
-        for node in graph.nodes():
-            assert local[node] == brute_force_local(graph, node)
+        edges = random_graph(n, rng.uniform(0.05, 0.5), rng)
+        adj = adjacency(edges, vertex_names(n))
+        local = clustering_stats(graph_from_edges(edges, vertex_names(n))).local
+        for node in adj:
+            assert local[node] == brute_force_local(adj, node)
 
 
 def test_global_matches_brute_force_on_random_graphs():
     rng = random.Random(2422)
     for _ in range(20):
         n = rng.randint(3, 30)
-        graph = random_graph(n, rng.uniform(0.05, 0.5), rng)
-        assert abs(clustering_stats(graph).global_clustering - brute_force_global(graph)) <= 1e-12
+        edges = random_graph(n, rng.uniform(0.05, 0.5), rng)
+        stats = clustering_stats(graph_from_edges(edges, vertex_names(n)))
+        assert abs(stats.global_clustering - brute_force_global(adjacency(edges))) <= 1e-12
 
 
 def test_hub_heavy_graphs_match_brute_force():
     rng = random.Random(3533)
     for _ in range(15):
-        graph = preferential_attachment_graph(rng.randint(4, 45), rng.randint(1, 4), rng)
-        stats = clustering_stats(graph)
-        for node in graph.nodes():
-            assert stats.local[node] == brute_force_local(graph, node)
-        assert abs(stats.global_clustering - brute_force_global(graph)) <= 1e-12
+        edges = preferential_attachment_graph(rng.randint(4, 45), rng.randint(1, 4), rng)
+        adj = adjacency(edges)
+        stats = clustering_stats(graph_from_edges(edges))
+        for node in adj:
+            assert stats.local[node] == brute_force_local(adj, node)
+        assert abs(stats.global_clustering - brute_force_global(adj)) <= 1e-12
 
 
 def test_complete_graphs_and_trees():
     for n in (3, 5, 8):
-        stats = clustering_stats(complete_graph(n))
+        stats = clustering_stats(graph_from_edges(complete_graph(n)))
         assert all(c == 1.0 for c in stats.local.values())
         assert stats.global_clustering == 1.0
     rng = random.Random(7)
     for n in (2, 10, 40):
-        stats = clustering_stats(random_tree(n, rng))
+        stats = clustering_stats(graph_from_edges(random_tree(n, rng)))
         assert all(c == 0.0 for c in stats.local.values())
         assert stats.global_clustering == 0.0
 
@@ -168,20 +168,20 @@ def test_adding_neighbor_edge_strictly_increases_local():
     rng = random.Random(99)
     checked = 0
     while checked < 10:
-        graph = random_graph(12, 0.3, rng)
-        for v in graph.nodes():
-            nbrs = sorted(graph.neighbors(v))
+        edges = random_graph(12, 0.3, rng)
+        adj = adjacency(edges, vertex_names(12))
+        for v in sorted(adj):
+            nbrs = sorted(adj[v])
             pairs = [
                 (a, b)
                 for i, a in enumerate(nbrs)
                 for b in nbrs[i + 1 :]
-                if b not in graph.neighbors(a)
+                if b not in adj[a]
             ]
             if not pairs:
                 continue
-            before = clustering_stats(graph).local[v]
-            graph.add_edge(*pairs[0])
-            after = clustering_stats(graph).local[v]
+            before = clustering_stats(graph_from_edges(edges)).local[v]
+            after = clustering_stats(graph_from_edges([*edges, pairs[0]])).local[v]
             assert after > before
             checked += 1
             break
@@ -189,31 +189,18 @@ def test_adding_neighbor_edge_strictly_increases_local():
 
 def test_relabeling_invariance():
     rng = random.Random(5150)
-    graph = random_graph(25, 0.25, rng)
-    nodes = graph.nodes()
+    edges = random_graph(25, 0.25, rng)
+    nodes = sorted(vertex_names(25))
     shuffled = nodes[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(nodes, shuffled))
-    relabeled = SocialGraph()
-    for node in nodes:
-        relabeled.add_node(mapping[node])
-    for a, b in graph.edges():
-        relabeled.add_edge(mapping[a], mapping[b])
+    relabeled = [(mapping[a], mapping[b]) for a, b in edges]
 
-    original = clustering_stats(graph)
-    renamed = clustering_stats(relabeled)
+    original = clustering_stats(graph_from_edges(edges, nodes))
+    renamed = clustering_stats(graph_from_edges(relabeled, shuffled))
     assert renamed.global_clustering == original.global_clustering
     assert renamed.mean_clustering == pytest.approx(original.mean_clustering)
     assert all(renamed.local[mapping[v]] == original.local[v] for v in nodes)
-
-
-def test_write_edgelist_sorted_pairs(tmp_path):
-    path = tmp_path / "edges.tsv"
-    write_edgelist(K4_MINUS, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == ["a\tb", "a\tc", "a\td", "b\tc", "b\td"]
-    write_edgelist(SocialGraph(), path)
-    assert path.read_text(encoding="utf-8") == ""
 
 
 def test_one_analysis_counts_clustering_once(monkeypatch):
@@ -258,15 +245,19 @@ def test_build_graph_matches_add_edge_order():
         )
         for i in range(60)
     ]
-    expected = SocialGraph()
+    # one step per record and target: add the author, then (unless it is the
+    # author) the target and the edge
+    expected: dict[str, set[str]] = {}
     for record in records:
-        expected.add_node(record.author_id)
-        for mentioned in record.mentions:
-            expected.add_edge(record.author_id, mentioned)
-        if record.retweet_of is not None:
-            expected.add_edge(record.author_id, record.retweet_of)
+        author = record.author_id
+        expected.setdefault(author, set())
+        targets = [*record.mentions, *([record.retweet_of] if record.retweet_of is not None else [])]
+        for other in targets:
+            if other != author:
+                expected[author].add(other)
+                expected.setdefault(other, set()).add(author)
     built = build_graph(make_corpus(records))
-    assert list(built._adj.items()) == list(expected._adj.items())
+    assert list(built._adj.items()) == list(expected.items())
 
 
 def named_out_sets(graph):
@@ -277,49 +268,51 @@ def named_out_sets(graph):
 
 def star(leaves):
     # The hub sorts first, so orienting by name alone would give it every edge.
-    return graph_from_edges([("a_hub", f"leaf{i:03d}") for i in range(leaves)])
+    return [("a_hub", f"leaf{i:03d}") for i in range(leaves)]
 
 
 @pytest.mark.parametrize(
-    "graph",
+    "edges",
     [preferential_attachment_graph(2000, 3, random.Random(8866)), star(60)],
     ids=["preferential_attachment", "star"],
 )
-def test_orientation_keeps_each_edge_once_within_sqrt_2e(graph):
-    out = named_out_sets(graph)
-    assert sorted(out) == graph.nodes()
-    for a, b in graph.edges():
+def test_orientation_keeps_each_edge_once_within_sqrt_2e(edges):
+    adj = adjacency(edges)
+    out = named_out_sets(graph_from_edges(edges))
+    assert sorted(out) == sorted(adj)
+    for a, b in edges:
         assert (b in out[a]) != (a in out[b])
-    assert all(higher <= graph.neighbors(node) for node, higher in out.items())
-    edges = graph.edge_count()
-    assert sum(len(higher) for higher in out.values()) == edges
-    assert max(len(higher) for higher in out.values()) <= math.isqrt(2 * edges)
-    top = max(graph.degree(node) for node in graph.nodes())
-    hubs = [node for node in graph.nodes() if graph.degree(node) == top]
+    assert all(higher <= adj[node] for node, higher in out.items())
+    edge_count = len({frozenset(edge) for edge in edges})
+    assert sum(len(higher) for higher in out.values()) == edge_count
+    assert max(len(higher) for higher in out.values()) <= math.isqrt(2 * edge_count)
+    top = max(len(nbrs) for nbrs in adj.values())
+    hubs = [node for node, nbrs in adj.items() if len(nbrs) == top]
     assert len(hubs) == 1
     assert out[hubs[0]] == set()
 
 
-def assert_matches_brute_force(graph):
-    stats = clustering_stats(graph)
-    assert list(stats.local) == list(stats.degree) == graph.nodes()
-    for node in graph.nodes():
-        assert stats.local[node] == brute_force_local(graph, node)
-        assert stats.degree[node] == len(graph.neighbors(node))
-    assert abs(stats.global_clustering - brute_force_global(graph)) <= 1e-12
-    assert (stats.triangles, stats.triples) == brute_force_counts(graph)
+def assert_matches_brute_force(edges, isolated=()):
+    adj = adjacency(edges, isolated)
+    stats = clustering_stats(graph_from_edges(edges, isolated))
+    assert list(stats.local) == list(stats.degree) == sorted(adj)
+    for node in adj:
+        assert stats.local[node] == brute_force_local(adj, node)
+        assert stats.degree[node] == len(adj[node])
+    assert abs(stats.global_clustering - brute_force_global(adj)) <= 1e-12
+    assert (stats.triangles, stats.triples) == brute_force_counts(adj)
+    assert stats.edges == brute_force_edge_count(adj)
     return stats
 
 
 def test_planted_cliques_on_hubs_match_brute_force():
     rng = random.Random(4644)
     for _ in range(12):
-        graph = preferential_attachment_graph(rng.randint(10, 45), rng.randint(1, 3), rng)
+        edges = preferential_attachment_graph(rng.randint(10, 45), rng.randint(1, 3), rng)
         for _ in range(rng.randint(1, 3)):
-            clique = rng.sample(graph.nodes(), rng.randint(4, 10))
-            for a, b in combinations(clique, 2):
-                graph.add_edge(a, b)
-        assert_matches_brute_force(graph)
+            clique = rng.sample(sorted(adjacency(edges)), rng.randint(4, 10))
+            edges += combinations(clique, 2)
+        assert_matches_brute_force(edges)
 
 
 def cycle(n, prefix):
@@ -352,7 +345,7 @@ TIE_GRAPHS = {
 @pytest.mark.parametrize("isolated", [(), ("iso0", "iso1", "zz")], ids=["connected", "isolated"])
 def test_degree_tie_graphs_match_brute_force(name, isolated):
     edges, counts = TIE_GRAPHS[name]
-    stats = assert_matches_brute_force(graph_from_edges(edges, isolated=isolated))
+    stats = assert_matches_brute_force(edges, isolated)
     assert (stats.triangles, stats.triples) == counts
     assert all(stats.local[node] == 0.0 for node in isolated)
 
@@ -365,9 +358,35 @@ def hub_biased_edges(draw):
     pairs = draw(
         st.lists(st.integers(0, n - 1).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, a))), max_size=150)
     )
-    return graph_from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
+    return [(names[a], names[b]) for a, b in pairs], names
 
 
 @given(hub_biased_edges())
-def test_random_edge_lists_match_brute_force(graph):
-    assert_matches_brute_force(graph)
+def test_random_edge_lists_match_brute_force(case):
+    assert_matches_brute_force(*case)
+
+
+AUTHORS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(st.lists(st.tuples(AUTHORS, st.lists(AUTHORS, max_size=4), st.none() | AUTHORS), min_size=1, max_size=20))
+def test_bundle_graph_counts_are_distinct_nodes_and_pairs(rows):
+    # few authors, so self-mentions, self-retweets and repeated pairs are common
+    records = [
+        make_record(tweet_id=f"t{i}", author_id=author, mentions=mentions, retweet_of=retweet)
+        for i, (author, mentions, retweet) in enumerate(rows)
+    ]
+    targets = [(author, other) for author, mentions, retweet in rows for other in [*mentions, retweet] if other]
+    nodes = {author for author, _, _ in rows} | {other for _, other in targets}
+    pairs = {frozenset(pair) for pair in targets if pair[0] != pair[1]}
+
+    corpus = make_corpus(records)
+    config = default_config()
+    result = pipeline.analyze_corpus(corpus, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = LoadResult(corpus, [], 0, loaded_records=len(records))
+        manifest = pipeline.write_bundle(result, config, tmp, loaded, None, [])
+        summary = json.loads((Path(tmp) / "graph_summary.json").read_text(encoding="utf-8"))
+        counts = json.loads(manifest.read_text(encoding="utf-8"))["stage_counts"]
+    assert (summary["nodes"], summary["edges"]) == (len(nodes), len(pairs))
+    assert (counts["graph_nodes"], counts["graph_edges"]) == (len(nodes), len(pairs))

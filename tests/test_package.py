@@ -27,7 +27,6 @@ EXPORTS = {
     "analyze_corpus",
     "build_graph",
     "clustering_stats",
-    "write_edgelist",
     "preprocess",
     "score_tokens",
     "summarize",

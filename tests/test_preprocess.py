@@ -207,6 +207,7 @@ def test_stem_caches_are_per_instance():
 @given(st.text(st.sampled_from("hhttps#@:/5 ") | st.characters(), max_size=60))
 @example("htt#p xx")
 @example("HT#TPS://x #h#t#t#p5")
+@example("@user:x #ok")  # a mention runs to the next whitespace, not to the first non-word char
 def test_normalize_matches_fixed_point_oracle(text):
     assert normalize(text) == reference_normalize(text)
 
