@@ -8,22 +8,21 @@ per degree (the data behind the C(k) curve).
 
 from pathlib import Path
 
-from herdpulse import build_graph, clustering_stats, load_corpus
+from herdpulse import build_graph, clustering_stats, load_corpora
 
 DATA = Path(__file__).parent / "data"
 
-corpus = load_corpus(DATA / "demo_tweets.jsonl").corpus
-graph = build_graph(corpus)
+records = load_corpora([DATA / "demo_tweets.jsonl"]).records
 # one counting pass yields every clustering number below
-stats = clustering_stats(graph)
+stats = clustering_stats(build_graph(records))
 
-print(f"graph: {len(graph)} authors, {graph.edge_count()} interaction edges")
+print(f"graph: {len(stats.degree)} authors, {stats.edges} interaction edges")
 print(f"triangles: {stats.triangles}, connected triples: {stats.triples}")
 
 # Local coefficient: the share of an author's neighbor pairs that interact
 # with each other. Degree < 2 scores 0 by convention.
 print("\nper-author local clustering:")
-for node in graph.nodes():
+for node in sorted(stats.degree):
     print(f"  {node}  degree {stats.degree[node]}  C = {stats.local[node]:.4f}")
 
 print(f"\nmean clustering  : {stats.mean_clustering:.6f}")

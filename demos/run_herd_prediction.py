@@ -9,13 +9,13 @@ sentiment support score.
 
 from pathlib import Path
 
-from herdpulse import analyze_corpus, load_config, load_corpus
+from herdpulse import analyze_corpus, load_config, load_corpora
 
 DATA = Path(__file__).parent / "data"
 
-corpus = load_corpus(DATA / "demo_tweets.jsonl").corpus
+loaded = load_corpora([DATA / "demo_tweets.jsonl"])
 config = load_config(DATA / "demo_config.json")
-result = analyze_corpus(corpus, config)
+result = analyze_corpus(loaded, config)
 
 print("subjectivity bands (author count, mean local clustering):")
 for band in result.herd.bands:

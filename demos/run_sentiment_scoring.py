@@ -8,20 +8,20 @@ label shares in the truncated two-decimal format used by the reports.
 
 from pathlib import Path
 
-from herdpulse import default_config, load_corpus, preprocess, score_tokens, summarize
+from herdpulse import load_config, load_corpora, preprocess, score_tokens, summarize
 
 DATA = Path(__file__).parent / "data"
 
 # 1. Ingest. Every line is validated; bad lines would be listed, not dropped.
-result = load_corpus(DATA / "demo_tweets.jsonl")
-print(f"loaded {len(result.corpus.records)} tweets, {len(result.invalid)} invalid lines")
+result = load_corpora([DATA / "demo_tweets.jsonl"])
+print(f"loaded {len(result.records)} tweets, {len(result.invalid)} invalid lines")
 
-config = default_config()
+config = load_config()  # the packaged defaults
 
 # 2. Normalize + tokenize + stopwords + stem, then score. Watch a few tweets
 #    go through: URLs and mentions disappear, hashtags keep their word.
 print("\nsample pipeline output:")
-for record in result.corpus.records[:4]:
+for record in result.records[:4]:
     tokens = preprocess(record.text, config.stopwords, config.stemmer_rules)
     score = score_tokens(record.tweet_id, tokens, config.lexicon, config.negation_words)
     print(f"  {record.tweet_id}  {record.text!r}")
@@ -31,9 +31,9 @@ for record in result.corpus.records[:4]:
         f"subjectivity {score.subjectivity:.3f}  {score.label}"
     )
 
-# 3. Corpus-level shares. Percentages are truncated, never rounded, so the
+# 3. Shares over the whole corpus. Percentages are truncated, never rounded, so the
 #    printed numbers match the report files digit for digit.
-records = result.corpus.records
+records = result.records
 tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in records]
 scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(records, tokens)]
 summary = summarize(scores)

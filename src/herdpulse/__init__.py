@@ -12,9 +12,9 @@ use; everything else is imported from its module, e.g. ``herdpulse.sentiment``.
 
 __version__ = "0.1.0"
 
-from .corpus import load_corpus
+from .corpus import load_corpora
 from .preprocess import preprocess
 from .sentiment import score_tokens, summarize
 from .graph import build_graph, clustering_stats
-from .config import default_config, load_config
+from .config import load_config
 from .pipeline import analyze_corpus

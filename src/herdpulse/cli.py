@@ -12,8 +12,8 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, default_config, load_config
-from .corpus import CorpusFormatError, LoadResult, load_corpora, load_corpus
+from .config import ConfigError, check_utf8, load_config
+from .corpus import CorpusFormatError, LoadResult, load_corpora
 from .pipeline import (
     NO_CAMP_SIGNAL,
     analyze_corpus,
@@ -52,10 +52,6 @@ def _load_inputs(paths: list[str], hashtag: str | None) -> LoadResult:
         raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
 
 
-def _resolve_config(path: str | None) -> RunConfig:
-    return load_config(path) if path else default_config()
-
-
 def _print_summary(summary) -> None:
     print(f"total: {summary.total}")
     print(f"negative: {summary.negative_pct}%")
@@ -67,7 +63,7 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.corpus:
         try:
-            result = load_corpus(path)
+            result = load_corpora([path])
         except CorpusFormatError as err:
             _fail(str(err))
             status = max(status, EXIT_DATA)
@@ -76,16 +72,16 @@ def cmd_validate(args) -> int:
             print(f"{path}:{entry.line_no}: {entry.reason}")
         if result.unknown_key_count:
             print(f"{path}: {result.unknown_key_count} unknown key(s) ignored")
-        print(f"{path}: {len(result.corpus.records)} valid, {len(result.invalid)} invalid")
+        print(f"{path}: {len(result.records)} valid, {len(result.invalid)} invalid")
         if result.invalid:
             status = max(status, EXIT_DATA)
     return status
 
 
 def cmd_score(args) -> int:
-    config = _resolve_config(args.config)
+    config = load_config(args.config)
     loaded = _load_inputs(args.corpus, args.hashtag)
-    _, scores, summary = score_corpus(loaded.corpus, config)
+    _, scores, summary = score_corpus(loaded.records, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,14 +91,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _resolve_config(args.config)
+    # the manifest records the input paths as UTF-8 text
+    check_utf8("--corpus", args.corpus)
+    check_utf8("--config", [args.config or ""])
+    config = load_config(args.config)
     loaded = _load_inputs(args.corpus, args.hashtag)
-    if not loaded.corpus.records:
+    if not loaded.records:
         _fail("corpus is empty after loading/filtering; nothing to analyze")
         return EXIT_DATA
 
-    result = analyze_corpus(loaded.corpus, config)
-    write_bundle(result, config, args.out, loaded, args.config, list(args.corpus))
+    result = analyze_corpus(loaded, config)
+    write_bundle(result, args.out, args.config, list(args.corpus))
 
     _print_summary(result.summary)
     print(f"herd index: {result.herd.herd_index:.6f} (flag: {result.herd.herd_flag})")
@@ -124,17 +123,17 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header:
-                raise ValueError(f"{path}:1: no header")
             try:
-                rows = [[float(cell) for cell in row] for row in reader]
+                header = next(reader, None)
+                rows = [[float(cell) for cell in row] for row in reader] if header else []
             except UnicodeDecodeError:
                 raise
-            except ValueError as err:
+            except (ValueError, csv.Error) as err:  # csv.Error: a cell past csv's field size limit
                 raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not valid UTF-8") from None
+    if not header:
+        raise ValueError(f"{path}:1: no header")
     width = len(header)
     if set(map(len, rows)) - {width} or not all(map(math.isfinite, chain.from_iterable(rows))):
         number, row = next(

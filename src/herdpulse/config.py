@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+from .corpus import _json_reason
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
 from .preprocess import StemmerRules, StemRule
 from .sentiment import Lexicon
@@ -122,10 +123,6 @@ def default_data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def default_config() -> RunConfig:
-    return _build_config({}, Path())
-
-
 def _finite(value, message: str) -> float:
     """A config number as a float; booleans, NaN, infinities and integers past the float range are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -133,28 +130,43 @@ def _finite(value, message: str) -> float:
     return float(value)
 
 
-def _resolve(base: Path, value) -> Path:
+def check_utf8(key: str, texts) -> None:
+    """Raise a ConfigError naming ``key`` when a text holds a lone surrogate, which UTF-8 cannot encode.
+
+    In a config file only a ``\\u`` escape makes one; in argv, a byte of a path that is not UTF-8 does.
+    """
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{key}: not encodable as UTF-8: {text!r}") from None
+
+
+def _resolve(base: Path, key: str, value) -> Path:
     if not isinstance(value, str) or not value:
         raise ConfigError("path entries must be non-empty strings")
+    check_utf8(key, [value])
     path = Path(value)
     return path if path.is_absolute() else base / path
 
 
-def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not valid UTF-8") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON ({err.msg})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return _build_config(raw, path.parent)
-
-
-def _build_config(raw: dict, base: Path) -> RunConfig:
-    """RunConfig from a parsed config object; each absent key takes its default."""
+def load_config(path: str | Path | None = None) -> RunConfig:
+    """The config in the JSON file at ``path`` (absent keys take their defaults), or the packaged defaults."""
+    raw: dict = {}
+    if path is not None:
+        if path == "":
+            raise ConfigError("config path is empty")
+        path = Path(path)
+        try:
+            text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+            raw = json.loads(text)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not valid UTF-8") from None
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"{path}: not valid JSON ({_json_reason(err, text)})") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+    base = Path() if path is None else path.parent
     config: dict = {
         "band_edges": DEFAULT_BAND_EDGES,
         "herd_threshold": DEFAULT_HERD_THRESHOLD,
@@ -188,6 +200,7 @@ def _build_config(raw: dict, base: Path) -> RunConfig:
                 raise ConfigError("empty camp id")
             if not keywords:
                 raise ConfigError(f"camp {camp_id!r} has no keywords")
+            check_utf8("camps", [camp_id, *keywords])
             for word in keywords:
                 if word != word.lower():
                     raise ConfigError(f"camp {camp_id!r} keyword not lowercase: {word!r}")
@@ -197,7 +210,7 @@ def _build_config(raw: dict, base: Path) -> RunConfig:
         config["camps"] = {camp_id: frozenset(keywords) for camp_id, keywords in camps_raw.items()}
 
     for key, (field, loader, packaged) in _DATA_FILES.items():
-        file = _resolve(base, raw[key]) if key in raw else default_data_path(packaged)
+        file = _resolve(base, key, raw[key]) if key in raw else default_data_path(packaged)
         config[field] = loader(file)
 
     if "reference_shares" in raw and raw["reference_shares"] is not None:
@@ -207,6 +220,7 @@ def _build_config(raw: dict, base: Path) -> RunConfig:
         for camp_id, share in shares.items():
             if not isinstance(share, str):
                 _finite(share, f"reference_shares {camp_id!r} must be a string or a finite number")
+        check_utf8("reference_shares", [*shares, *(s for s in shares.values() if isinstance(s, str))])
         config["reference_shares"] = {str(k): str(v) for k, v in shares.items()}
 
     return RunConfig(**config)

@@ -4,8 +4,8 @@ A corpus file is UTF-8, one JSON object per LF-terminated line, with keys:
 ``tweet_id``, ``author_id``, ``text``, ``timestamp`` (RFC 3339, read as UTC),
 ``hashtags``, ``mentions``, ``retweet_of`` (string or null) and
 ``follower_count``. Unknown keys are ignored but counted. ``load_corpora``
-reads several files at once: the first occurrence of a tweet_id across files
-wins, and with a hashtag it keeps only the records that carry it.
+reads one or more files at once: the first occurrence of a tweet_id across
+files wins, and with a hashtag it keeps only the records that carry it.
 """
 
 from __future__ import annotations
@@ -62,21 +62,15 @@ class TweetRecord(NamedTuple):
     follower_count: int
 
 
-class Corpus(NamedTuple):
-    """Ordered, duplicate-free record list; order is ingestion order."""
-
-    records: tuple[TweetRecord, ...]
-
-
 class LineError(NamedTuple):
     line_no: int
     reason: str
 
 
 class LoadResult(NamedTuple):
-    """Outcome of a load: kept records, per-line errors and the counts before the filter."""
+    """Outcome of a load: kept records in ingestion order, per-line errors and the counts before the filter."""
 
-    corpus: Corpus
+    records: tuple[TweetRecord, ...]
     invalid: list[LineError]
     unknown_key_count: int
     loaded_records: int  # distinct valid tweet_ids across the files
@@ -121,18 +115,22 @@ def _parse_hashtags(value) -> tuple[str, ...]:
     return tuple(tags)
 
 
+def _json_reason(err: ValueError | RecursionError, text: str) -> str:
+    """Why ``json`` could not decode ``text``, from the error it raised, without the position."""
+    if isinstance(err, RecursionError):
+        return "nested too deeply"
+    if not isinstance(err, json.JSONDecodeError):  # an integer literal past the interpreter's digit limit
+        return "integer too long"
+    # json.loads names a leading U+FEFF; decode() only sees a bad value
+    return "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff" else err.msg
+
+
 def _parse_line(line: str) -> tuple[TweetRecord, int]:
     """Validate one non-blank line; returns (record, unknown-key count)."""
     try:
         obj = _decode_json(line)
-    except json.JSONDecodeError as err:
-        # json.loads names a leading U+FEFF; decode() only sees a bad value
-        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else err.msg
-        raise ValueError(f"invalid JSON: {msg}") from None
-    except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
-    except ValueError:  # an integer literal past the interpreter's digit limit
-        raise ValueError("invalid JSON: integer too long") from None
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"invalid JSON: {_json_reason(err, line)}") from None
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     for key in REQUIRED_KEYS:
@@ -247,9 +245,4 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                 f"{bad} of {non_empty} lines invalid in {path}; file does not look like a corpus"
             )
 
-    return LoadResult(Corpus(tuple(records)), invalid, unknown_keys, loaded_records=len(last_file))
-
-
-def load_corpus(path: str | Path) -> LoadResult:
-    """Load one corpus file, keeping every valid record in file order (see :func:`load_corpora`)."""
-    return load_corpora([path])
+    return LoadResult(tuple(records), invalid, unknown_keys, loaded_records=len(last_file))

@@ -9,9 +9,9 @@ brute-force oracles in the test suite can match them exactly.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .corpus import Corpus
+from .corpus import TweetRecord
 
 
 class SocialGraph:
@@ -46,7 +46,7 @@ class ClusteringStats(NamedTuple):
     edges: int
 
 
-def build_graph(corpus: Corpus) -> SocialGraph:
+def build_graph(records: Iterable[TweetRecord]) -> SocialGraph:
     """Graph over authors, mention targets and retweet targets.
 
     An undirected edge {a, b} exists when a mentions b or a retweets b;
@@ -55,7 +55,7 @@ def build_graph(corpus: Corpus) -> SocialGraph:
     """
     graph = SocialGraph()
     adj = graph._adj
-    for record in corpus.records:
+    for record in records:
         author = record.author_id
         own = adj.get(author)
         if own is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .corpus import Corpus, TweetRecord
+from .corpus import TweetRecord
 from .sentiment import SentimentScore, summarize
 
 DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
@@ -73,32 +73,24 @@ class PredictionReport(NamedTuple):
 
 
 def profile_authors(
-    scores: list[SentimentScore], corpus: Corpus, local: dict[str, float]
+    scores: list[SentimentScore], records: Sequence[TweetRecord], local: dict[str, float]
 ) -> list[AuthorProfile]:
     """One profile per author with at least one scored tweet, sorted by id.
 
-    ``local`` maps graph nodes to their local clustering
+    ``scores[i]`` is the score of ``records[i]``; lists of different lengths
+    raise ``ValueError``. ``local`` maps graph nodes to their local clustering
     (``ClusteringStats.local``). Authors that never made it into the
     interaction graph get local clustering 0 (same value an edgeless node
     would score).
     """
-    author_of = {record.tweet_id: record.author_id for record in corpus.records}
-    grouped: dict[str, list[SentimentScore]] = {}
-    for score in scores:
-        author = author_of[score.tweet_id]
-        grouped.setdefault(author, []).append(score)
+    grouped: dict[str, list[float]] = {}
+    for score, record in zip(scores, records, strict=True):
+        grouped.setdefault(record.author_id, []).append(score.subjectivity)
 
-    profiles = []
-    for author in sorted(grouped):
-        own = grouped[author]
-        profiles.append(
-            AuthorProfile(
-                author_id=author,
-                mean_subjectivity=math.fsum(s.subjectivity for s in own) / len(own),
-                local_clustering=local.get(author, 0.0),
-            )
-        )
-    return profiles
+    return [
+        AuthorProfile(author, math.fsum(own) / len(own), local.get(author, 0.0))
+        for author, own in sorted(grouped.items())
+    ]
 
 
 def _band_index(value: float, edges: tuple[float, ...]) -> int:
@@ -166,13 +158,14 @@ def assign_corpus(
 ) -> CampAssignments:
     """Assign every tweet to the camp whose keywords hit most of its tokens and hashtags.
 
-    ``tokens[i]`` holds the tokens of ``records[i]``. A tweet with no hit
+    ``tokens[i]`` holds the tokens of ``records[i]``; lists of different
+    lengths raise ``ValueError``. A tweet with no hit
     (always so when ``camps`` is empty) or a tie for the most hits stays
     unassigned; ties are also counted on their own.
     """
     by_tweet: dict[str, str] = {}
     tie_count = unassigned_count = 0
-    for own, record in zip(tokens, records):
+    for own, record in zip(tokens, records, strict=True):
         matchable = set(own) | set(record.hashtags)
         hits = {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
         best = max(hits.values(), default=0)

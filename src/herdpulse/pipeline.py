@@ -1,6 +1,6 @@
 """End-to-end analysis run and deterministic report-bundle emission.
 
-Everything written here is a pure function of the corpus, the config and the
+Everything written here is a pure function of the load, the config and the
 data files: CSVs use LF endings and fixed 6-decimal values, JSON documents are
 key-sorted with floats pre-formatted as 6-decimal strings, and the manifest
 carries a sha256 per emitted file. Two runs over the same inputs must produce
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig
-from .corpus import Corpus, LoadResult
+from .corpus import LoadResult, TweetRecord
 from .graph import ClusteringStats, build_graph, clustering_stats
 from .herd import (
     CampAssignments,
@@ -45,6 +45,10 @@ def fixed(value: float) -> str:
 
 
 class AnalysisResult(NamedTuple):
+    """The reports of one run, with the load and the config they came from."""
+
+    loaded: LoadResult
+    config: RunConfig
     scores: list[SentimentScore]
     summary: CorpusSummary
     stats: ClusteringStats
@@ -53,29 +57,31 @@ class AnalysisResult(NamedTuple):
     prediction: PredictionReport | None
 
 
-def score_corpus(corpus: Corpus, config: RunConfig):
+def score_corpus(records: tuple[TweetRecord, ...], config: RunConfig):
     """Preprocess and score every record; returns (tokens per record, scores, summary)."""
-    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
+    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in records]
     scores = [
-        score_tokens(r.tweet_id, own, config.lexicon, config.negation_words)
-        for r, own in zip(corpus.records, tokens)
+        score_tokens(r.tweet_id, own, config.lexicon, config.negation_words) for r, own in zip(records, tokens)
     ]
     return tokens, scores, summarize(scores)
 
 
-def analyze_corpus(corpus: Corpus, config: RunConfig) -> AnalysisResult:
-    """Run the full pipeline: scoring, graph, herd report, camp prediction.
+def analyze_corpus(loaded: LoadResult, config: RunConfig) -> AnalysisResult:
+    """Run the full pipeline over the loaded records: scoring, graph, herd report, camp prediction.
 
     A corpus without any camp-assignable tweet does not abort the run: the
     prediction is ``None`` and ``prediction.json`` carries :data:`NO_CAMP_SIGNAL`.
     """
-    tokens, scores, summary = score_corpus(corpus, config)
-    stats = clustering_stats(build_graph(corpus))
-    profiles = profile_authors(scores, corpus, stats.local)
+    records = loaded.records
+    tokens, scores, summary = score_corpus(records, config)
+    stats = clustering_stats(build_graph(records))
+    profiles = profile_authors(scores, records, stats.local)
     herd = herd_report(profiles, config.band_edges, config.herd_threshold)
 
-    assignments = assign_corpus(tokens, corpus.records, config.camps or {})
+    assignments = assign_corpus(tokens, records, config.camps or {})
     return AnalysisResult(
+        loaded=loaded,
+        config=config,
         scores=scores,
         summary=summary,
         stats=stats,
@@ -122,19 +128,19 @@ def scores_csv(scores: list[SentimentScore], rows: list[tuple[str, str, str]]) -
     )
 
 
-def _prediction_json(result: AnalysisResult, config: RunConfig) -> str:
+def _prediction_json(result: AnalysisResult) -> str:
     if result.prediction is None:
         obj = {"error": NO_CAMP_SIGNAL}
     else:
         obj = result.prediction._asdict()
-        if config.reference_shares:
-            obj["reference_shares"] = config.reference_shares
+        if result.config.reference_shares:
+            obj["reference_shares"] = result.config.reference_shares
     obj["tie_count"] = result.assignments.tie_count
     obj["unassigned_count"] = result.assignments.unassigned_count
     return _json_text(obj)
 
 
-def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
+def bundle_files(result: AnalysisResult) -> dict[str, str]:
     """Name -> content for every report file except the manifest."""
     stats = result.stats
     rows = formatted_scores(result.scores)
@@ -170,29 +176,17 @@ def bundle_files(result: AnalysisResult, config: RunConfig) -> dict[str, str]:
         [[i, subjectivity, polarity] for i, polarity, subjectivity in rows],
     )
     files["herd_report.json"] = _json_text(result.herd)
-    files["prediction.json"] = _prediction_json(result, config)
+    files["prediction.json"] = _prediction_json(result)
     return files
 
 
 def write_bundle(
-    result: AnalysisResult,
-    config: RunConfig,
-    out_dir: str | Path,
-    loaded: LoadResult,
-    config_path: str | None,
-    corpus_paths: list[str],
+    result: AnalysisResult, out_dir: str | Path, config_path: str | None, corpus_paths: list[str]
 ) -> Path:
-    """Write the report files and a manifest of the inputs and ``loaded``'s counts; returns its path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    files = bundle_files(result, config)
-    emitted = []
-    for name in sorted(files):
-        content = files[name].encode("utf-8")
-        (out / name).write_bytes(content)
-        emitted.append({"name": name, "sha256": hashlib.sha256(content).hexdigest()})
-
+    """Write the report files and their manifest, all encoded first: a text UTF-8 cannot encode writes nothing."""
+    loaded = result.loaded
+    contents = {name: text.encode("utf-8") for name, text in sorted(bundle_files(result).items())}
+    emitted = [{"name": name, "sha256": hashlib.sha256(data).hexdigest()} for name, data in contents.items()]
     manifest = {
         "pipeline_version": PIPELINE_VERSION,
         "config_path": config_path,
@@ -200,7 +194,7 @@ def write_bundle(
         "stage_counts": {
             "invalid_lines": len(loaded.invalid),
             "loaded_records": loaded.loaded_records,
-            "after_hashtag_filter": len(loaded.corpus.records),
+            "after_hashtag_filter": len(loaded.records),
             "scored": len(result.scores),
             "graph_nodes": len(result.stats.degree),
             "graph_edges": result.stats.edges,
@@ -210,6 +204,10 @@ def write_bundle(
         },
         "emitted_files": emitted,
     }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(_json_text(manifest), encoding="utf-8")
-    return manifest_path
+    contents["manifest.json"] = _json_text(manifest).encode("utf-8")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in contents.items():
+        (out / name).write_bytes(data)
+    return out / "manifest.json"

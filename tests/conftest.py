@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from herdpulse.corpus import Corpus, TweetRecord
+from herdpulse.corpus import LoadResult, TweetRecord
 from herdpulse.graph import build_graph
 
 
@@ -30,15 +30,16 @@ def make_record(
     )
 
 
-def make_corpus(records):
-    return Corpus(records=tuple(records))
+def make_loaded(records):
+    """The ``LoadResult`` of a clean load of ``records``."""
+    return LoadResult(tuple(records), [], 0, loaded_records=len(records))
 
 
 def graph_from_edges(edges, isolated=()):
     """``build_graph`` over one record per isolated node and one mention per edge."""
     records = [make_record(tweet_id=f"n{i}", author_id=node) for i, node in enumerate(isolated)]
     records += [make_record(tweet_id=f"e{i}", author_id=a, mentions=[b]) for i, (a, b) in enumerate(edges)]
-    return build_graph(make_corpus(records))
+    return build_graph(records)
 
 
 def record_line(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .conftest import make_corpus, make_record
+from .conftest import make_loaded, make_record
 
 
 def clique_star_corpus():
@@ -40,7 +40,7 @@ def clique_star_corpus():
                 mentions=[hub],
             )
         )
-    return make_corpus(records)
+    return make_loaded(records)
 
 
 def engineered_134_corpus_lines():

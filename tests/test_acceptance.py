@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
+from herdpulse import build_graph, clustering_stats, load_config, preprocess, score_tokens
 from herdpulse.cli import main
 from herdpulse.herd import CampAssignments, herd_report, predict, profile_authors
 from herdpulse.preprocess import normalize
@@ -131,11 +131,11 @@ def test_criterion_3_percentage_reconstruction(tmp_path, capsys):
 
 def test_criterion_4_herd_fixture():
     corpus = clique_star_corpus()
-    config = default_config()
-    graph = build_graph(corpus)
+    config = load_config()
+    graph = build_graph(corpus.records)
     tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
     scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
-    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
+    profiles = profile_authors(scores, corpus.records, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0
     assert report.herd_flag is True
@@ -166,11 +166,11 @@ def _camp_fixture(scale: int):
 
 def test_criterion_5_prediction_consistency():
     corpus = clique_star_corpus()
-    config = default_config()
-    graph = build_graph(corpus)
+    config = load_config()
+    graph = build_graph(corpus.records)
     tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
     doc_scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
-    herd = herd_report(profile_authors(doc_scores, corpus, clustering_stats(graph).local))
+    herd = herd_report(profile_authors(doc_scores, corpus.records, clustering_stats(graph).local))
 
     scores, assignments = _camp_fixture(scale=1)
     report = predict(scores, assignments, herd)
@@ -249,7 +249,7 @@ def test_criterion_7_preprocessing_idempotence():
     samples = corpus_texts + _random_noisy_strings(1000 - len(corpus_texts), rng)
     assert len(samples) == 1000
 
-    config = default_config()
+    config = load_config()
     stopwords = config.stopwords
     rules = config.stemmer_rules
     table = [(r.suffix, r.replacement, r.min_stem_length) for r in rules.rules]

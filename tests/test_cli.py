@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +97,73 @@ def test_analyze_config_not_utf8_is_config_failure(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: {config}: not valid UTF-8\n"
     assert not (tmp_path / "out").exists()
+
+
+BAD_CONFIG_JSON = {
+    "deep_nesting": ('{"herd_threshold": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+    "long_integer": ('{"herd_threshold": ' + "9" * 5000 + "}", "integer too long"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_JSON))
+def test_analyze_config_json_past_the_parser_limits_is_config_failure(tmp_path, capsys, case):
+    text, reason = BAD_CONFIG_JSON[case]
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config}: not valid JSON ({reason})\n"
+    assert not (tmp_path / "out").exists()
+
+
+LONE_SURROGATE_CONFIGS = {
+    "camp_id": ({"camps": {"\ud800": ["partyx"], "Y": ["partyy"]}}, "camps: not encodable as UTF-8: '\\ud800'"),
+    "keyword": ({"camps": {"X": ["party\udfff"]}}, "camps: not encodable as UTF-8: 'party\\udfff'"),
+    "share": (
+        {"camps": {"X": ["partyx"]}, "reference_shares": {"X": "\udc00"}},
+        "reference_shares: not encodable as UTF-8: '\\udc00'",
+    ),
+    "share_key": ({"reference_shares": {"\udc00": "1"}}, "reference_shares: not encodable as UTF-8: '\\udc00'"),
+    "path": ({"lexicon_path": "lex\ud800.tsv"}, "lexicon_path: not encodable as UTF-8: 'lex\\ud800.tsv'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONE_SURROGATE_CONFIGS))
+def test_analyze_config_string_with_lone_surrogate_is_config_failure(tmp_path, capsys, case):
+    raw, message = LONE_SURROGATE_CONFIGS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")  # ensure_ascii writes the \u escape
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_empty_config_path_is_config_failure(tmp_path, capsys):
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", "", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["--corpus", "--config"])
+def test_analyze_path_not_valid_utf8_fails_before_any_file_is_written(tmp_path, capsys, option):
+    # argv decodes a raw 0xff byte in a file name to U+DCFF, which UTF-8 cannot encode
+    name = os.fsdecode(os.fsencode(tmp_path) + b"/\xff")
+    corpus = DEMO_CORPUS
+    config = str(tmp_path / "config.json")
+    Path(config).write_text(json.dumps({"camps": {"X": ["partyx"]}}), encoding="utf-8")
+    if option == "--corpus":
+        corpus = name
+        shutil.copy(DEMO_CORPUS, name)
+    else:
+        config = name
+        shutil.copy(tmp_path / "config.json", name)
+    out = tmp_path / "out"
+    code = main(["analyze", "--corpus", corpus, "--config", config, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {option}: not encodable as UTF-8: {name!r}\n"
+    assert not out.exists()
 
 
 def test_analyze_config_with_bom_matches_plain_config(tmp_path):
@@ -444,6 +513,7 @@ BAD_SERIES = {
     "short_row": (b"index,polarity\n0,0.5\n1\n", "3: expected 2 finite numbers, got [1.0]"),
     "blank_line": (b"index,polarity\n0,0.5\n\n1,0.2\n", "3: expected 2 finite numbers, got []"),
     "not_utf8": (b"index,polarity\n0,\xff\n", " not valid UTF-8"),
+    "field_too_large": (b"index,polarity\n0,0.5\n1," + b"5" * 131_073 + b"\n", "3: field larger than field limit (131072)"),
 }
 
 

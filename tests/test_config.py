@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from herdpulse import default_config, load_config
+from herdpulse import load_config
 from herdpulse.config import ConfigError, default_data_path, load_lexicon, load_wordlist
 
 CONFIG_MODULE = importlib.import_module("herdpulse.config")
@@ -31,7 +31,7 @@ def test_overridden_data_files_skip_packaged_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(CONFIG_MODULE, "default_data_path", packaged)
     config = load_config(path)
     monkeypatch.undo()
-    expected = default_config()
+    expected = load_config()
     assert config.stopwords == expected.stopwords
     assert config.stemmer_rules.rules == expected.stemmer_rules.rules
     assert config.negation_words == expected.negation_words

@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from herdpulse import load_corpus
+from herdpulse import load_corpora
 from herdpulse.corpus import (
     REQUIRED_KEYS,
     CorpusFormatError,
     LineError,
     TweetRecord,
     _parse_timestamp,
-    load_corpora,
 )
 
 from .conftest import make_record, record_line
@@ -25,18 +24,18 @@ from .oracles import reference_load_files, reference_load_lines, reference_times
 
 def test_three_valid_lines(corpus_file):
     path = corpus_file([record_line(tweet_id=f"t{i}") for i in range(3)])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 3
+    result = load_corpora([path])
+    assert len(result.records) == 3
     assert result.invalid == []
-    assert [r.tweet_id for r in result.corpus.records] == ["t0", "t1", "t2"]
+    assert [r.tweet_id for r in result.records] == ["t0", "t1", "t2"]
 
 
 def test_missing_tweet_id_reported_with_line_number(corpus_file):
     bad = json.loads(record_line())
     del bad["tweet_id"]
     path = corpus_file([record_line(tweet_id="t1"), record_line(tweet_id="t2"), json.dumps(bad)])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 2
+    result = load_corpora([path])
+    assert len(result.records) == 2
     assert len(result.invalid) == 1
     assert result.invalid[0].line_no == 3
     assert "tweet_id" in result.invalid[0].reason
@@ -44,60 +43,60 @@ def test_missing_tweet_id_reported_with_line_number(corpus_file):
 
 def test_duplicate_tweet_id_keeps_first(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", text="first"), record_line(tweet_id="t1", text="second")])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 1
-    assert result.corpus.records[0].text == "first"
+    result = load_corpora([path])
+    assert len(result.records) == 1
+    assert result.records[0].text == "first"
     assert result.invalid[0].line_no == 2
     assert "duplicate" in result.invalid[0].reason
 
 
 def test_unreadable_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        load_corpus(tmp_path / "nope.jsonl")
+        load_corpora([tmp_path / "nope.jsonl"])
 
 
 def test_mostly_invalid_file_is_fatal(corpus_file):
     path = corpus_file([record_line(), "garbage", "{broken", "also not json"])
     with pytest.raises(CorpusFormatError):
-        load_corpus(path)
+        load_corpora([path])
 
 
 def test_invalid_json_and_non_object_lines(corpus_file):
     path = corpus_file([record_line(), record_line(tweet_id="t2"), '"just a string"'])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 2
+    result = load_corpora([path])
+    assert len(result.records) == 2
     assert result.invalid[0].line_no == 3
 
 
 def test_unknown_keys_counted_not_fatal(corpus_file):
     path = corpus_file([record_line(tweet_id="t1", lang="en", source="web")])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 1
+    result = load_corpora([path])
+    assert len(result.records) == 1
     assert result.unknown_key_count == 2
 
 
 def test_hashtags_normalized_lowercase_no_hash(corpus_file):
     path = corpus_file([record_line(hashtags=["#WestBengal", "Vote2021"])])
-    result = load_corpus(path)
-    assert result.corpus.records[0].hashtags == ("westbengal", "vote2021")
+    result = load_corpora([path])
+    assert result.records[0].hashtags == ("westbengal", "vote2021")
 
 
 def test_hashtag_with_whitespace_rejected(corpus_file):
     path = corpus_file([record_line(tweet_id="ok"), record_line(tweet_id="bad", hashtags=["west bengal"])])
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 1
+    result = load_corpora([path])
+    assert len(result.records) == 1
     assert "hashtag" in result.invalid[0].reason
 
 
 def test_self_mentions_dropped(corpus_file):
     path = corpus_file([record_line(author_id="a1", mentions=["a1", "a2"])])
-    result = load_corpus(path)
-    assert result.corpus.records[0].mentions == ("a2",)
+    result = load_corpora([path])
+    assert result.records[0].mentions == ("a2",)
 
 
 def test_negative_follower_count_invalid(corpus_file):
     path = corpus_file([record_line(tweet_id="ok"), record_line(tweet_id="bad", follower_count=-1)])
-    result = load_corpus(path)
+    result = load_corpora([path])
     assert len(result.invalid) == 1
     assert "follower_count" in result.invalid[0].reason
 
@@ -111,9 +110,9 @@ def test_timestamp_formats(corpus_file):
             record_line(tweet_id="t4", timestamp="not a time"),
         ]
     )
-    result = load_corpus(path)
-    assert len(result.corpus.records) == 3
-    t1, t2, t3 = result.corpus.records
+    result = load_corpora([path])
+    assert len(result.records) == 3
+    t1, t2, t3 = result.records
     assert t1.timestamp == t2.timestamp == t3.timestamp
     assert "timestamp" in result.invalid[0].reason
 
@@ -122,16 +121,16 @@ def test_invalid_utf8_line_is_a_line_error(tmp_path):
     path = tmp_path / "corpus.jsonl"
     good = [record_line(tweet_id=f"t{i}").encode("utf-8") for i in (1, 2)]
     path.write_bytes(b"\n".join([good[0], b'{"text": "caf\xe9"}', good[1]]) + b"\n")
-    result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus.records] == ["t1", "t2"]
+    result = load_corpora([path])
+    assert [r.tweet_id for r in result.records] == ["t1", "t2"]
     assert result.invalid == [LineError(2, "invalid UTF-8")]
 
 
 def test_leading_bom_is_stripped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(codecs.BOM_UTF8 + record_line().encode("utf-8") + b"\n")
-    result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus.records] == ["t1"]
+    result = load_corpora([path])
+    assert [r.tweet_id for r in result.records] == ["t1"]
     assert result.invalid == []
 
 
@@ -160,17 +159,17 @@ def test_leading_bom_is_stripped(tmp_path):
 def test_hostile_line_is_a_line_error(tmp_path, line, reason):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join([record_line(tweet_id="t0"), line]) + "\n", encoding="utf-8")
-    result = load_corpus(path)
-    assert [r.tweet_id for r in result.corpus.records] == ["t0"]
+    result = load_corpora([path])
+    assert [r.tweet_id for r in result.records] == ["t0"]
     assert result.invalid == [LineError(2, reason)]
 
 
 def test_surrogate_pair_escape_and_unknown_key_surrogate_are_kept(corpus_file):
     # a pair of \u escapes is one astral character; an unknown key is never stored
     path = corpus_file([record_line(text="\U0001f600", extra="\ud800")])
-    result = load_corpus(path)
+    result = load_corpora([path])
     assert result.invalid == []
-    assert result.corpus.records[0].text == "\U0001f600"
+    assert result.records[0].text == "\U0001f600"
 
 
 def test_timestamp_drops_microseconds_after_conversion(corpus_file):
@@ -180,7 +179,7 @@ def test_timestamp_drops_microseconds_after_conversion(corpus_file):
             record_line(tweet_id="t2", timestamp="2021-02-01T12:00:00.5"),
         ]
     )
-    t1, t2 = load_corpus(path).corpus.records
+    t1, t2 = load_corpora([path]).records
     assert t1.timestamp == t2.timestamp == datetime(2021, 2, 1, 12, 0, 0, tzinfo=timezone.utc)
     assert t1.timestamp.microsecond == t2.timestamp.microsecond == 0
     assert t1.timestamp.tzinfo is t2.timestamp.tzinfo is timezone.utc
@@ -204,8 +203,8 @@ def test_unicode_line_separator_in_text_keeps_line_whole(tmp_path, separator):
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = load_corpus(path)
-    assert [r.text for r in result.corpus.records] == [f"a{separator}b", "hello"]
+    result = load_corpora([path])
+    assert [r.text for r in result.records] == [f"a{separator}b", "hello"]
     assert result.invalid == []
 
 
@@ -239,13 +238,13 @@ def test_save_then_load_round_trips_full_unicode(records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            result = load_corpus(path)
-        assert result.corpus.records == records
+            result = load_corpora([path])
+        assert result.records == records
         assert result.invalid == []
 
 
 def _kept_ids(result):
-    return [r.tweet_id for r in result.corpus.records]
+    return [r.tweet_id for r in result.records]
 
 
 def test_filter_by_hashtag_direct_membership(corpus_file):
@@ -303,7 +302,7 @@ def test_first_occurrence_wins_across_files_before_the_filter(corpus_file):
     result = load_corpora([p1, p2], "x")
     assert _kept_ids(result) == ["t2"]
     assert (result.loaded_records, result.invalid) == (2, [])
-    assert [r.text for r in load_corpora([p1, p2]).corpus.records] == ["first", "hello"]
+    assert [r.text for r in load_corpora([p1, p2]).records] == ["first", "hello"]
 
 
 def test_duplicate_within_a_later_file_is_invalid_there(corpus_file):
@@ -333,14 +332,14 @@ def test_filter_result_is_subsequence(tags, wanted):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        everything = load_corpus(path).corpus.records
+        everything = load_corpora([path]).records
         kept = load_corpora([path], wanted)
     ids = [r.tweet_id for r in everything]
     kept_ids = _kept_ids(kept)
     # subsequence check: the kept ids appear in the same relative order
     it = iter(ids)
     assert all(k in it for k in kept_ids)
-    assert all(wanted in r.hashtags for r in kept.corpus.records)
+    assert all(wanted in r.hashtags for r in kept.records)
     assert kept.loaded_records == len(ids)
 
 
@@ -354,9 +353,9 @@ def test_valid_plus_invalid_equals_non_empty_lines(corpus_file):
         record_line(tweet_id="t2"),
     ]
     path = corpus_file(lines)
-    result = load_corpus(path)
+    result = load_corpora([path])
     non_empty = sum(1 for line in lines if line.strip())
-    assert len(result.corpus.records) + len(result.invalid) == non_empty
+    assert len(result.records) + len(result.invalid) == non_empty
 
 
 def _plain(fields):
@@ -443,11 +442,11 @@ def test_load_corpus_matches_reference_ingestion(lines, padding):
         non_empty = len(records) + len(errors)
         if non_empty and len(errors) / non_empty > 0.5:
             with pytest.raises(CorpusFormatError):
-                load_corpus(path)
+                load_corpora([path])
             return
-        result = load_corpus(path)
+        result = load_corpora([path])
 
-    assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
+    assert [_plain(tuple(r)) for r in result.records] == [_plain(r) for r in records]
     assert [(e.line_no, e.reason) for e in result.invalid] == errors
     assert result.unknown_key_count == unknown
     assert result.loaded_records == len(records)
@@ -478,7 +477,7 @@ def test_load_corpora_matches_load_merge_filter(files, tag):
             return
         result = load_corpora(paths, tag)
     records, errors, unknown, merged = expected
-    assert [_plain(tuple(r)) for r in result.corpus.records] == [_plain(r) for r in records]
+    assert [_plain(tuple(r)) for r in result.records] == [_plain(r) for r in records]
     assert [(e.line_no, e.reason) for e in result.invalid] == errors
     assert result.unknown_key_count == unknown
     assert result.loaded_records == merged
@@ -547,6 +546,6 @@ def test_timestamp_matches_hand_written_grammar(value):
 @pytest.mark.parametrize("stamp", NOT_RFC3339)
 def test_timestamp_outside_the_grammar_is_a_line_error(corpus_file, stamp):
     path = corpus_file([record_line(tweet_id="t0"), record_line(tweet_id="t1", timestamp=stamp)])
-    result = load_corpus(path)
+    result = load_corpora([path])
     assert _kept_ids(result) == ["t0"]
     assert result.invalid == [LineError(2, f"timestamp not ISO-8601: {stamp!r}")]

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from herdpulse import default_config
+from herdpulse import load_config
 
-DEFAULTS = default_config()
+DEFAULTS = load_config()
 
 
 def test_lexicon_terms_are_stemmer_fixed_points():

@@ -10,12 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import build_graph, clustering_stats, default_config
+from herdpulse import build_graph, clustering_stats, load_config
 from herdpulse import graph as graph_module
 from herdpulse import pipeline
-from herdpulse.corpus import LoadResult
 
-from .conftest import graph_from_edges, make_corpus, make_record
+from .conftest import graph_from_edges, make_loaded, make_record
 from .oracles import (
     adjacency,
     brute_force_counts,
@@ -40,27 +39,24 @@ K4_MINUS = graph_from_edges(
 
 
 def test_build_graph_mention_edge():
-    corpus = make_corpus([make_record(author_id="a", mentions=["b"])])
-    graph = build_graph(corpus)
+    graph = build_graph([make_record(author_id="a", mentions=["b"])])
     assert graph.nodes() == ["a", "b"]
     assert graph._adj == {"a": {"b"}, "b": {"a"}}
 
 
 def test_build_graph_self_retweet_dropped():
-    corpus = make_corpus([make_record(author_id="a", retweet_of="a")])
-    graph = build_graph(corpus)
+    graph = build_graph([make_record(author_id="a", retweet_of="a")])
     assert graph.nodes() == ["a"]
     assert graph.edge_count() == 0
 
 
 def test_build_graph_undirected_dedup():
-    corpus = make_corpus(
+    graph = build_graph(
         [
             make_record(tweet_id="t1", author_id="a", mentions=["b"]),
             make_record(tweet_id="t2", author_id="b", retweet_of="a"),
         ]
     )
-    graph = build_graph(corpus)
     assert graph._adj == {"a": {"b"}, "b": {"a"}}
     assert graph.edge_count() == 1
 
@@ -218,16 +214,15 @@ def test_one_analysis_counts_clustering_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "clustering_stats", counting_stats)
     monkeypatch.setattr(graph_module, "_oriented", counting_oriented)
-    corpus = make_corpus(
+    loaded = make_loaded(
         [
             make_record(tweet_id="t1", author_id="a", mentions=["b", "c"]),
             make_record(tweet_id="t2", author_id="b", mentions=["c"], retweet_of="d"),
             make_record(tweet_id="t3", author_id="e"),
         ]
     )
-    config = default_config()
-    result = pipeline.analyze_corpus(corpus, config)
-    pipeline.bundle_files(result, config)
+    result = pipeline.analyze_corpus(loaded, load_config())
+    pipeline.bundle_files(result)
     # Every triangle count, whoever asks for it, goes through one orientation.
     assert calls == {"stats": 1, "oriented": 1}
     assert result.stats.triangles == 1
@@ -256,7 +251,7 @@ def test_build_graph_matches_add_edge_order():
             if other != author:
                 expected[author].add(other)
                 expected.setdefault(other, set()).add(author)
-    built = build_graph(make_corpus(records))
+    built = build_graph(records)
     assert list(built._adj.items()) == list(expected.items())
 
 
@@ -380,13 +375,22 @@ def test_bundle_graph_counts_are_distinct_nodes_and_pairs(rows):
     nodes = {author for author, _, _ in rows} | {other for _, other in targets}
     pairs = {frozenset(pair) for pair in targets if pair[0] != pair[1]}
 
-    corpus = make_corpus(records)
-    config = default_config()
-    result = pipeline.analyze_corpus(corpus, config)
+    result = pipeline.analyze_corpus(make_loaded(records), load_config())
     with tempfile.TemporaryDirectory() as tmp:
-        loaded = LoadResult(corpus, [], 0, loaded_records=len(records))
-        manifest = pipeline.write_bundle(result, config, tmp, loaded, None, [])
+        manifest = pipeline.write_bundle(result, tmp, None, [])
         summary = json.loads((Path(tmp) / "graph_summary.json").read_text(encoding="utf-8"))
         counts = json.loads(manifest.read_text(encoding="utf-8"))["stage_counts"]
     assert (summary["nodes"], summary["edges"]) == (len(nodes), len(pairs))
     assert (counts["graph_nodes"], counts["graph_edges"]) == (len(nodes), len(pairs))
+
+
+def test_write_bundle_encodes_every_file_before_writing_any(tmp_path):
+    records = [make_record(tweet_id="t1", author_id="a", mentions=["b"])]
+    result = pipeline.analyze_corpus(make_loaded(records), load_config())
+    out = tmp_path / "bundle"
+    # a corpus path UTF-8 cannot encode fails the manifest, the last file built
+    with pytest.raises(UnicodeEncodeError):
+        pipeline.write_bundle(result, out, None, ["\udcff.jsonl"])
+    assert not out.exists()
+    pipeline.write_bundle(result, out, None, ["corpus.jsonl"])
+    assert len(list(out.iterdir())) == 10

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import build_graph, clustering_stats, default_config, preprocess, score_tokens
+from herdpulse import build_graph, clustering_stats, load_config, preprocess, score_tokens
 from herdpulse.herd import (
     DEFAULT_BAND_EDGES,
     AuthorProfile,
@@ -16,7 +16,7 @@ from herdpulse.herd import (
 from herdpulse.pipeline import analyze_corpus, bundle_files
 from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
-from .conftest import make_corpus, make_record
+from .conftest import make_record
 from .fixtures import clique_star_corpus
 
 
@@ -38,20 +38,18 @@ XY = {"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})}
 
 
 def test_profile_authors_means():
-    corpus = make_corpus(
-        [
-            make_record(tweet_id="t1", author_id="a"),
-            make_record(tweet_id="t2", author_id="a"),
-            make_record(tweet_id="t3", author_id="b"),
-        ]
-    )
-    graph = build_graph(corpus)
+    records = [
+        make_record(tweet_id="t1", author_id="a"),
+        make_record(tweet_id="t2", author_id="a"),
+        make_record(tweet_id="t3", author_id="b"),
+    ]
+    graph = build_graph(records)
     scores = [
         score("t1", polarity=0.2, subjectivity=0.4),
         score("t2", polarity=0.4, subjectivity=0.8),
         score("t3", polarity=-0.5, subjectivity=0.3),
     ]
-    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
+    profiles = profile_authors(scores, records, clustering_stats(graph).local)
     assert [p.author_id for p in profiles] == ["a", "b"]
     a, b = profiles
     assert a.mean_subjectivity == pytest.approx(0.6)
@@ -59,9 +57,8 @@ def test_profile_authors_means():
 
 
 def test_profile_author_without_edges_gets_zero_clustering():
-    corpus = make_corpus([make_record(tweet_id="t1", author_id="a")])
-    graph = build_graph(corpus)
-    profiles = profile_authors([score("t1")], corpus, clustering_stats(graph).local)
+    records = [make_record(tweet_id="t1", author_id="a")]
+    profiles = profile_authors([score("t1")], records, clustering_stats(build_graph(records)).local)
     assert profiles[0].local_clustering == 0.0
 
 
@@ -94,8 +91,8 @@ def test_herd_report_empty_top_band():
 
 def test_herd_report_integer_threshold_renders_as_fixed_point():
     assert type(herd_report([profile("a", 0.9, 1.0)], threshold=0).threshold) is float
-    config = default_config()._replace(herd_threshold=0)
-    files = bundle_files(analyze_corpus(clique_star_corpus(), config), config)
+    config = load_config()._replace(herd_threshold=0)
+    files = bundle_files(analyze_corpus(clique_star_corpus(), config))
     assert '"threshold": "0.000000"' in files["herd_report.json"]
 
 
@@ -162,6 +159,22 @@ def test_assign_corpus_counts_ties():
     assert assignments.by_tweet == {"t1": "X"}
     assert assignments.tie_count == 1
     assert assignments.unassigned_count == 2
+
+
+@pytest.mark.parametrize("drop", ["per_tweet", "record"])
+def test_per_tweet_lists_line_up_with_records_by_position(drop):
+    records = [make_record(tweet_id=f"t{i}", author_id=f"a{i}") for i in (1, 2, 3)]
+    scores = [score(r.tweet_id) for r in records]
+    tokens = [("partyx",)] * len(records)
+    if drop == "per_tweet":
+        scores, tokens = scores[:-1], tokens[:-1]
+    else:
+        records = records[:-1]
+    # one element short is an error, not a silently dropped or truncated tweet
+    with pytest.raises(ValueError):
+        profile_authors(scores, records, {})
+    with pytest.raises(ValueError):
+        assign_corpus(tokens, records, XY)
 
 
 def make_assignments(mapping):
@@ -279,11 +292,11 @@ def test_herd_index_bounds_and_flag_consistency(subjs, clusterings, threshold):
 
 def test_clique_vs_star_fixture_flags_herding():
     corpus = clique_star_corpus()
-    config = default_config()
-    graph = build_graph(corpus)
+    config = load_config()
+    graph = build_graph(corpus.records)
     tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in corpus.records]
     scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(corpus.records, tokens)]
-    profiles = profile_authors(scores, corpus, clustering_stats(graph).local)
+    profiles = profile_authors(scores, corpus.records, clustering_stats(graph).local)
     report = herd_report(profiles, config.band_edges, config.herd_threshold)
     assert report.herd_index > 0
     assert report.herd_flag is True

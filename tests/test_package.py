@@ -21,9 +21,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 EXPORTS = {
-    "load_corpus",
+    "load_corpora",
     "load_config",
-    "default_config",
     "analyze_corpus",
     "build_graph",
     "clustering_stats",

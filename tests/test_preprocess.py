@@ -5,13 +5,13 @@ import importlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from herdpulse import default_config, preprocess
+from herdpulse import load_config, preprocess
 from herdpulse.config import load_stemmer_rules, load_wordlist
 from herdpulse.preprocess import StemmerRules, StemRule, normalize
 
 from .oracles import reference_normalize, reference_stem
 
-DEFAULTS = default_config()
+DEFAULTS = load_config()
 RULES = DEFAULTS.stemmer_rules
 STOPWORDS = DEFAULTS.stopwords
 SHIPPED_TABLE = [(r.suffix, r.replacement, r.min_stem_length) for r in RULES.rules]
@@ -213,7 +213,7 @@ def test_normalize_matches_fixed_point_oracle(text):
 
 
 def test_stem_rule_scan_runs_once_per_distinct_token():
-    rules = default_config().stemmer_rules  # a fresh instance, so an empty cache
+    rules = load_config().stemmer_rules  # a fresh instance, so an empty cache
     scanned = []
     apply_once = rules._apply_once
     rules._apply_once = lambda token: scanned.append(token) or apply_once(token)
