@@ -43,6 +43,14 @@ class RunConfig(NamedTuple):
     reference_shares: dict[str, str]
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 file's text, without a leading BOM; raises ConfigError if it is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
+
+
 def _data_rows(path: str | Path, fields: int) -> Iterator[tuple[str, list[str]]]:
     """(``path:line``, fields) of each line of a UTF-8 data file that is not blank or a ``#`` comment.
 
@@ -50,9 +58,7 @@ def _data_rows(path: str | Path, fields: int) -> Iterator[tuple[str, list[str]]]
     whitespace). A line is split on tabs into exactly ``fields`` fields; a word list is not split.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not valid UTF-8") from None
+        text = _read_text(Path(path))
     except OSError as err:
         raise ConfigError(f"cannot read data file: {err}") from None
     for line_no, line in enumerate(text.split("\n"), 1):
@@ -157,11 +163,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         if path == "":
             raise ConfigError("config path is empty")
         path = Path(path)
+        text = _read_text(path)
         try:
-            text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
             raw = json.loads(text)
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: not valid UTF-8") from None
         except (ValueError, RecursionError) as err:
             raise ConfigError(f"{path}: not valid JSON ({_json_reason(err, text)})") from None
         if not isinstance(raw, dict):

@@ -75,26 +75,24 @@ def build_graph(records: Iterable[TweetRecord]) -> SocialGraph:
     return graph
 
 
-def _oriented(graph: SocialGraph) -> tuple[list[str], list[int], list[set[int]]]:
-    """``(nodes, order, out)``: the graph interned and oriented by degree.
+def _oriented(graph: SocialGraph) -> tuple[list[str], list[set[int]]]:
+    """``(nodes, out)``: the graph interned and oriented by degree.
 
     Node i is ``nodes[i]``, the i-th in sorted order. Nodes rank by
-    ``(degree, i)``: ``order[r]`` is the index of the node of rank r and
-    ``out[r]`` holds the ranks of its higher-ranked neighbors, so each edge
-    sits in exactly one out-set. The d members of ``out[r]`` each have degree
-    >= d, so d * d <= 2E.
+    ``(degree, i)``, and ``out[i]`` holds the indices of node i's
+    higher-ranked neighbors, so each edge sits in exactly one out-set. The d
+    members of ``out[i]`` each have degree >= d, so d * d <= 2E.
     """
     adj = graph._adj
     nodes = sorted(adj)
-    order = sorted(range(len(nodes)), key=lambda i: len(adj[nodes[i]]))
-    rank = {nodes[i]: r for r, i in enumerate(order)}
-    ranked: set[str] = set()  # the nodes of rank <= r
-    out: list[set[int]] = []
-    for i in order:
+    index = {node: i for i, node in enumerate(nodes)}
+    ranked: set[str] = set()  # node i and every node ranked below it
+    out: list[set[int]] = [set()] * len(nodes)  # every slot is replaced below
+    for i in sorted(range(len(nodes)), key=lambda i: len(adj[nodes[i]])):
         node = nodes[i]
         ranked.add(node)
-        out.append(set(map(rank.__getitem__, adj[node] - ranked)))
-    return nodes, order, out
+        out[i] = set(map(index.__getitem__, adj[node] - ranked))
+    return nodes, out
 
 
 def clustering_stats(graph: SocialGraph) -> ClusteringStats:
@@ -103,7 +101,7 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     One forward pass (Schank & Wagner 2005; Latapy 2008) over ``_oriented``:
     for each oriented edge u -> v, ``out[u] & out[v]`` holds the third corner
     of every triangle whose two lowest-ranked corners are u and v, so each
-    triangle is found once and credited to its three corners, in E
+    triangle is found once and credited by index to its three corners, in E
     intersections of sets of at most sqrt(2E) nodes. t_i is also the number of
     edges among i's neighbors: local C_i = 2 t_i / (k (k - 1)), 0 below
     degree 2; triangles = sum(t_i) // 3; triples = sum(k (k - 1) / 2);
@@ -112,8 +110,8 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     from one final division of exact integers; mean clustering and C(k) (mean
     C_i per degree) are exact sums; an empty graph scores 0.
     """
-    nodes, order, out = _oriented(graph)
-    corners = [0] * len(nodes)
+    nodes, out = _oriented(graph)
+    corners = [0] * len(nodes)  # t_i
     for u, higher in enumerate(out):
         found = 0
         for v in higher:
@@ -124,23 +122,20 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
                 for w in common:
                     corners[w] += 1
         corners[u] += found
-    t_of = [0] * len(nodes)
-    for r, i in enumerate(order):
-        t_of[i] = corners[r]
 
     adj = graph._adj
     local: dict[str, float] = {}
     degree: dict[str, int] = {}
     by_degree: dict[int, list[float]] = {}
     triples = 0
-    for node, t in zip(nodes, t_of):
+    for node, t in zip(nodes, corners):
         k = len(adj[node])
         c = 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
         local[node] = c
         degree[node] = k
         by_degree.setdefault(k, []).append(c)
         triples += k * (k - 1) // 2
-    triangles = sum(t_of) // 3
+    triangles = sum(corners) // 3
     return ClusteringStats(
         local=local,
         mean_clustering=math.fsum(local.values()) / len(local) if local else 0.0,

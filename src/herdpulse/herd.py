@@ -13,6 +13,7 @@ along as context.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 from .corpus import TweetRecord
@@ -52,12 +53,12 @@ class CampAssignments(NamedTuple):
 class CampResult(NamedTuple):
     camp_id: str
     rank: int
-    tweet_count: int
-    positive: int
+    tweet_count: int  # this field and the six after it are a CorpusSummary, in its order
     negative: int
+    positive: int
     neutral: int
-    positive_pct: str
     negative_pct: str
+    positive_pct: str
     neutral_pct: str
     support: float
 
@@ -93,14 +94,6 @@ def profile_authors(
     ]
 
 
-def _band_index(value: float, edges: tuple[float, ...]) -> int:
-    # bands are [e_i, e_{i+1}), the last one closed at the top edge
-    for i in range(len(edges) - 2):
-        if edges[i] <= value < edges[i + 1]:
-            return i
-    return len(edges) - 2
-
-
 def check_band_edges(band_edges) -> tuple[float, ...]:
     """Band edges as floats; raises ValueError unless they rise strictly from 0 to 1."""
     edges = tuple(float(e) for e in band_edges)
@@ -126,9 +119,10 @@ def herd_report(
         raise ValueError("no author profiles")
     edges = check_band_edges(band_edges)
 
+    # bands are [e_i, e_{i+1}), the last one closed at the top edge: the search leaves that edge out
     members: list[list[AuthorProfile]] = [[] for _ in range(len(edges) - 1)]
     for profile in profiles:
-        members[_band_index(profile.mean_subjectivity, edges)].append(profile)
+        members[bisect_right(edges, profile.mean_subjectivity, 0, len(edges) - 1) - 1].append(profile)
 
     bands = []
     for i, group in enumerate(members):
@@ -137,18 +131,12 @@ def herd_report(
 
     overall = math.fsum(p.local_clustering for p in profiles) / len(profiles)
     top = members[-1]
-    if top:
-        herd_index = bands[-1].mean_clustering - overall
-        herd_flag = herd_index > threshold
-    else:
-        herd_index = 0.0
-        herd_flag = False
-
+    herd_index = bands[-1].mean_clustering - overall if top else 0.0
     return HerdReport(
         bands=tuple(bands),
         global_mean_clustering=overall,
         herd_index=herd_index,
-        herd_flag=herd_flag,
+        herd_flag=bool(top) and herd_index > threshold,
         threshold=float(threshold),
     )
 
@@ -159,26 +147,24 @@ def assign_corpus(
     """Assign every tweet to the camp whose keywords hit most of its tokens and hashtags.
 
     ``tokens[i]`` holds the tokens of ``records[i]``; lists of different
-    lengths raise ``ValueError``. A tweet with no hit
-    (always so when ``camps`` is empty) or a tie for the most hits stays
-    unassigned; ties are also counted on their own.
+    lengths raise ``ValueError``. A tweet with no hit (always so when
+    ``camps`` is empty) or a tie for the most hits stays unassigned; ties are
+    also counted on their own. Tweet ids are unique, as a load leaves them.
     """
     by_tweet: dict[str, str] = {}
-    tie_count = unassigned_count = 0
+    tie_count = 0
     for own, record in zip(tokens, records, strict=True):
         matchable = set(own) | set(record.hashtags)
         hits = {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
         best = max(hits.values(), default=0)
         if best == 0:
-            unassigned_count += 1
             continue
         leaders = [camp_id for camp_id, n in hits.items() if n == best]
         if len(leaders) > 1:
             tie_count += 1
-            unassigned_count += 1
             continue
         by_tweet[record.tweet_id] = leaders[0]
-    return CampAssignments(by_tweet, tie_count, unassigned_count)
+    return CampAssignments(by_tweet, tie_count, len(records) - len(by_tweet))
 
 
 def predict(
@@ -201,49 +187,24 @@ def predict(
     if not per_camp:
         return None
 
-    scored = []
-    for camp_id, own in per_camp.items():
-        summary = summarize(own)
-        scored.append((camp_id, summary, (summary.positive - summary.negative) / summary.total))
-
+    summaries = {camp_id: summarize(own) for camp_id, own in per_camp.items()}
+    support = {camp_id: (s.positive - s.negative) / s.total for camp_id, s in summaries.items()}
     # stable ranking: support descending, camp id as deterministic tiebreak;
     # camps with equal support share the rank of the first of them
-    scored.sort(key=lambda row: (-row[2], row[0]))
-    supports = [support for _, _, support in scored]
-    camps = [
-        CampResult(
-            camp_id=camp_id,
-            rank=supports.index(support) + 1,
-            tweet_count=summary.total,
-            positive=summary.positive,
-            negative=summary.negative,
-            neutral=summary.neutral,
-            positive_pct=summary.positive_pct,
-            negative_pct=summary.negative_pct,
-            neutral_pct=summary.neutral_pct,
-            support=support,
-        )
-        for camp_id, summary, support in scored
-    ]
-
-    degenerate = len(camps) < 2
-    undecided = len(camps) >= 2 and camps[0].support == camps[1].support
-    if undecided:
-        winner = None
-        margin = 0.0
-    elif degenerate:
-        winner = camps[0].camp_id
-        margin = 0.0
-    else:
-        winner = camps[0].camp_id
-        margin = camps[0].support - camps[1].support
-
+    ranked = sorted(support, key=lambda camp_id: (-support[camp_id], camp_id))
+    supports = [support[camp_id] for camp_id in ranked]
+    camps = tuple(
+        CampResult(camp_id, supports.index(support[camp_id]) + 1, *summaries[camp_id], support[camp_id])
+        for camp_id in ranked
+    )
+    # in an undecided race the top two supports are equal, so their difference is already 0
+    undecided = len(camps) >= 2 and supports[0] == supports[1]
     return PredictionReport(
-        camps=tuple(camps),
-        winner=winner,
-        margin=margin,
+        camps=camps,
+        winner=None if undecided else ranked[0],
+        margin=supports[0] - supports[1] if len(camps) >= 2 else 0.0,
         undecided=undecided,
-        degenerate=degenerate,
+        degenerate=len(camps) < 2,
         herd_index=herd.herd_index,
         herd_flag=herd.herd_flag,
     )

@@ -208,6 +208,8 @@ def write_bundle(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest goes first and comes back last: an old one would vouch for files a failed rewrite replaced
+    (out / "manifest.json").unlink(missing_ok=True)
     for name, data in contents.items():
         (out / name).write_bytes(data)
     return out / "manifest.json"

@@ -8,6 +8,9 @@ output.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 WIDTH = 640.0
 HEIGHT = 480.0
 MARGIN = 60.0
@@ -24,14 +27,21 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _scale(values: list[float]) -> tuple[float, float]:
-    """Axis range covering the data; degenerate or empty data maps to [0, 1]."""
-    if not values:
-        return 0.0, 1.0
-    low, high = min(values), max(values)
+def _axis(values: list[float], start: float, length: float) -> tuple[float, float, Callable[[float], float]]:
+    """``(low, high, place)``: an axis range covering the data and the map from a value to its coordinate.
+
+    Empty data maps to [0, 1]; a constant column widens by 0.5 each way, or by one float step
+    towards 0 where 0.5 rounds away. Where ``high - low`` overflows, ``place`` works on halved
+    values: halving is exact for normal floats and keeps every difference finite.
+    """
+    low, high = (min(values), max(values)) if values else (0.0, 1.0)
     if low == high:
         low, high = low - 0.5, high + 0.5
-    return low, high
+    if low == high:
+        low, high = sorted((low, math.nextafter(low, 0.0)))
+    unit = 1.0 if math.isfinite(high - low) else 0.5
+    offset, span = low * unit, high * unit - low * unit
+    return low, high, lambda value: start + (value * unit - offset) / span * length
 
 
 def render_scatter(
@@ -50,17 +60,8 @@ def render_scatter(
     y_label = _escape(y_label)
     all_x = [x for _, points in series for x, _ in points]
     all_y = [y for _, points in series for _, y in points]
-    x_min, x_max = _scale(all_x)
-    y_min, y_max = _scale(all_y)
-
-    plot_w = WIDTH - 2 * MARGIN
-    plot_h = HEIGHT - 2 * MARGIN
-
-    def px(x: float) -> float:
-        return MARGIN + (x - x_min) / (x_max - x_min) * plot_w
-
-    def py(y: float) -> float:
-        return HEIGHT - MARGIN - (y - y_min) / (y_max - y_min) * plot_h
+    x_min, x_max, px = _axis(all_x, MARGIN, WIDTH - 2 * MARGIN)
+    y_min, y_max, py = _axis(all_y, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -9,7 +9,8 @@ shortcut: no memo, no suffix index, no regex, no early stop. The ingestion
 reference restates the per-line rules with ``json.loads`` and plain field
 checks, reads timestamps by hand instead of with ``fromisoformat``, loads
 several files the old way (each file whole, then merge, then filter), and
-shares no helper with ``herdpulse.corpus``.
+shares no helper with ``herdpulse.corpus``. The herd references test each
+band edge by hand and rank camps by counting the camps ahead of each.
 """
 
 from __future__ import annotations
@@ -339,3 +340,69 @@ def reference_load_files(files: list[list[str]], tag: str | None) -> tuple | Non
                 merged.append(fields)
     kept = merged if tag is None else [f for f in merged if tag.lstrip("#").lower() in f[4]]
     return kept, errors, unknown, len(merged)
+
+
+def reference_band(value: float, edges: tuple[float, ...]) -> int:
+    """Index of the band ``[edges[i], edges[i + 1])`` holding ``value``; the top band also holds 1."""
+    top = len(edges) - 2
+    for i in range(top + 1):
+        if edges[i] <= value < edges[i + 1] or (i == top and value == edges[-1]):
+            return i
+    raise ValueError(f"{value} outside [0, 1]")
+
+
+def reference_percent(count: int, total: int) -> str:
+    """``count / total`` in percent, truncated to two decimals by long division."""
+    whole, rest = divmod(100 * count, total)
+    tenths, rest = divmod(10 * rest, total)
+    return f"{whole}.{tenths}{10 * rest // total}"
+
+
+def reference_predict(tweets: list[tuple[str | None, str]]) -> dict | None:
+    """The camp race the plain way, from ``(camp or None, label)`` per tweet.
+
+    Labels are ``POSITIVE``, ``NEGATIVE`` and ``NEUTRAL``. Returns None when
+    no tweet has a camp, else the report's fields: ``camps`` (one dict of
+    ``CampResult`` fields per camp, best first), ``winner``, ``margin``,
+    ``undecided`` and ``degenerate``. A camp's support is (positive -
+    negative) / tweets and its rank is one more than the camps with higher
+    support; the winner is the one camp with the highest support, if only one
+    has it, and the margin is its lead over the next best camp.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    for camp, label in tweets:
+        if camp is not None:
+            counts.setdefault(camp, {"POSITIVE": 0, "NEGATIVE": 0, "NEUTRAL": 0})[label] += 1
+    if not counts:
+        return None
+    camps = []
+    for camp, row in counts.items():
+        total = sum(row.values())
+        camps.append(
+            {
+                "camp_id": camp,
+                "tweet_count": total,
+                "positive": row["POSITIVE"],
+                "negative": row["NEGATIVE"],
+                "neutral": row["NEUTRAL"],
+                "positive_pct": reference_percent(row["POSITIVE"], total),
+                "negative_pct": reference_percent(row["NEGATIVE"], total),
+                "neutral_pct": reference_percent(row["NEUTRAL"], total),
+                "support": (row["POSITIVE"] - row["NEGATIVE"]) / total,
+            }
+        )
+    for entry in camps:
+        entry["rank"] = 1 + sum(1 for other in camps if other["support"] > entry["support"])
+    camps.sort(key=lambda entry: (entry["rank"], entry["camp_id"]))
+    leaders = [entry for entry in camps if entry["rank"] == 1]
+    undecided = len(leaders) > 1
+    margin = 0.0
+    if len(leaders) == 1 and len(camps) > 1:
+        margin = leaders[0]["support"] - max(entry["support"] for entry in camps[1:])
+    return {
+        "camps": camps,
+        "winner": None if undecided else leaders[0]["camp_id"],
+        "margin": margin,
+        "undecided": undecided,
+        "degenerate": len(camps) < 2,
+    }

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -529,6 +531,47 @@ def test_plot_bad_series_csv_continues(tmp_path, capsys, case):
     assert code == 1
     assert f"error: {bundle / 'polarity_series.csv'}:{reason}\n" in err
     assert sorted(p.name for p in bundle.glob("*.svg")) == ["ck_curve.svg"]
+
+
+EXTREME_SERIES = {
+    # 1e300 +- 0.5 rounds back to 1e300, so widening by 0.5 leaves an empty range
+    "constant_huge": [(0.0, 1e300), (1.0, 1e300)],
+    "constant_float_max": [(0.0, -1.7976931348623157e308), (1.0, -1.7976931348623157e308)],
+    # the span from -1e308 to 1e308 is past the float range
+    "span_past_float_range": [(-1e308, -1e308), (1e308, 1e308)],
+    "subnormal_span": [(0.0, 0.0), (5e-324, 5e-324)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_SERIES))
+def test_plot_extreme_values_write_finite_coordinates(tmp_path, capsys, case):
+    bundle = tmp_path / "extreme"
+    bundle.mkdir()
+    for name in ("subjectivity_series.csv", "polarity_series.csv", "ck_curve.csv", "degree_distribution.csv"):
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in EXTREME_SERIES[case])
+        (bundle / name).write_text("x,y\n" + rows, encoding="utf-8")
+    rows = "".join(f"{x!r},{y!r},{x!r}\n" for x, y in EXTREME_SERIES[case])
+    (bundle / "combined_series.csv").write_text("x,y,z\n" + rows, encoding="utf-8")
+    assert main(["plot", str(bundle)]) == 0
+    assert capsys.readouterr().err == ""
+    for svg in bundle.glob("*.svg"):
+        text = svg.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text, svg.name
+        coordinates = re.findall(r' (?:x|y|cx|cy|x1|y1|x2|y2)="([^"]*)"', text)
+        assert coordinates and all(math.isfinite(float(value)) for value in coordinates), svg.name
+
+
+def test_failed_rewrite_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "mo"
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out)]) == 0
+    (out / "scores.csv").unlink()
+    (out / "scores.csv").mkdir()
+    # without camps prediction.json changes, and it sorts before the file that cannot be written
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--out", str(out)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert json.loads((out / "prediction.json").read_text(encoding="utf-8"))["error"] == "no camp signal"
+    # no manifest vouches for the mixed files
+    assert not (out / "manifest.json").exists()
 
 
 def test_module_entry_point_subprocess():

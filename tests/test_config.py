@@ -53,6 +53,22 @@ def test_config_bom_before_invalid_utf8_is_still_an_encoding_error(tmp_path):
         load_config(path)
 
 
+def test_config_and_data_files_share_one_decode_and_keep_their_messages(tmp_path):
+    # a missing config is an OSError of its own; a missing data file names itself as one
+    with pytest.raises(FileNotFoundError, match=r"^\[Errno 2\] No such file or directory: "):
+        load_config(tmp_path / "missing.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lexicon_path": "missing.tsv"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^cannot read data file: \[Errno 2\] No such file or directory: "):
+        load_config(path)
+    # one BOM is dropped, a second is named; CR line ends read as in a data file
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf{}")
+    with pytest.raises(ConfigError, match=r": not valid JSON \(Unexpected UTF-8 BOM \(decode using utf-8-sig\)\)$"):
+        load_config(path)
+    path.write_bytes(b'{\r"herd_threshold": 0.25\r}')
+    assert load_config(path).herd_threshold == 0.25
+
+
 @pytest.mark.parametrize(
     "camps, message",
     [

@@ -256,9 +256,8 @@ def test_build_graph_matches_add_edge_order():
 
 
 def named_out_sets(graph):
-    nodes, order, out = graph_module._oriented(graph)
-    names = [nodes[i] for i in order]
-    return {names[r]: {names[w] for w in higher} for r, higher in enumerate(out)}
+    nodes, out = graph_module._oriented(graph)
+    return {nodes[i]: {nodes[w] for w in higher} for i, higher in enumerate(out)}
 
 
 def star(leaves):

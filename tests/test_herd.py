@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from herdpulse import build_graph, clustering_stats, load_config, preprocess, score_tokens
 from herdpulse.herd import (
@@ -18,6 +20,7 @@ from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import make_record
 from .fixtures import clique_star_corpus
+from .oracles import reference_band, reference_predict
 
 
 def profile(author, subj, clustering):
@@ -128,12 +131,47 @@ INNER_EDGES = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), 
 @given(
     edges=st.just(DEFAULT_BAND_EDGES) | INNER_EDGES.map(lambda inner: (0.0, *sorted(inner), 1.0)),
     subjs=st.lists(st.floats(0.0, 1.0), max_size=10),
-    clustering=st.floats(0.0, 1.0),
+    clusterings=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    with_edges=st.booleans(),
+    threshold=st.floats(-1.0, 1.0),
 )
-def test_every_profile_lands_in_exactly_one_band(edges, subjs, clustering):
-    # the manifest's profiled_authors is this sum; every edge itself is a mean subjectivity
-    profiles = [profile(f"a{i}", s, clustering) for i, s in enumerate([*edges, *subjs])]
-    assert sum(band.count for band in herd_report(profiles, edges).bands) == len(profiles)
+def test_every_profile_lands_in_exactly_one_band(edges, subjs, clusterings, with_edges, threshold):
+    # the manifest's profiled_authors is the band counts' sum. With every edge, 0 and 1 among the
+    # mean subjectivities, each edge's band is tested; without them the top band may be empty
+    values = [*edges, *subjs] if with_edges or not subjs else subjs
+    profiles = [profile(f"a{i}", s, clusterings[i % len(clusterings)]) for i, s in enumerate(values)]
+    report = herd_report(profiles, edges, threshold)
+    groups = [[] for _ in edges[1:]]
+    for p in profiles:
+        groups[reference_band(p.mean_subjectivity, edges)].append(p.local_clustering)
+    assert [(band.low, band.high) for band in report.bands] == list(zip(edges, edges[1:]))
+    assert [band.count for band in report.bands] == [len(group) for group in groups]
+    assert sum(band.count for band in report.bands) == len(profiles)
+    assert [band.mean_clustering for band in report.bands] == [
+        math.fsum(group) / len(group) if group else 0.0 for group in groups
+    ]
+    overall = math.fsum(p.local_clustering for p in profiles) / len(profiles)
+    herd_index = math.fsum(groups[-1]) / len(groups[-1]) - overall if groups[-1] else 0.0
+    assert report.global_mean_clustering == overall
+    assert report.herd_index == herd_index
+    assert report.herd_flag is (bool(groups[-1]) and herd_index > threshold)
+
+
+WORDS = ("alpha", "beta", "gamma", "delta")
+
+
+@given(
+    tweets=st.lists(
+        st.tuples(st.frozensets(st.sampled_from(WORDS)), st.frozensets(st.sampled_from(WORDS), max_size=1)),
+        max_size=12,
+    ),
+    camps=st.dictionaries(st.sampled_from("XYZ"), st.frozensets(st.sampled_from(WORDS), min_size=1), max_size=3),
+)
+def test_assigned_and_unassigned_add_up_to_the_tweets(tweets, camps):
+    records = [make_record(tweet_id=f"t{i}", hashtags=sorted(tags)) for i, (_, tags) in enumerate(tweets)]
+    assignments = assign_corpus([tuple(sorted(own)) for own, _ in tweets], records, camps)
+    assert len(assignments.by_tweet) + assignments.unassigned_count == len(records)
+    assert assignments.tie_count <= assignments.unassigned_count
 
 
 def assign_one(tokens, hashtags=()):
@@ -303,3 +341,43 @@ def test_clique_vs_star_fixture_flags_herding():
     # clique members all sit in the top band with clustering 1
     assert report.bands[-1].count == 4
     assert report.bands[-1].mean_clustering == 1.0
+
+
+LABELS = (POSITIVE, NEGATIVE, NEUTRAL)
+POLARITY = {POSITIVE: 0.5, NEGATIVE: -0.5, NEUTRAL: 0.0}
+
+
+@st.composite
+def camp_tweets(draw):
+    """(camp or None, label) per tweet; small label counts, some scaled, make support ties common."""
+    tweets = []
+    for camp in draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True)):
+        counts = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
+        scale = draw(st.integers(1, 3))
+        tweets += [(camp, label) for label, n in zip(LABELS, counts) for _ in range(n * scale)]
+    tweets += [(None, label) for label in draw(st.lists(st.sampled_from(LABELS), max_size=3))]
+    return draw(st.permutations(tweets))
+
+
+def tweets_of(*camps):
+    """Tweets of camps given as (camp, positive, negative, neutral) counts."""
+    return [(camp, label) for camp, *counts in camps for label, n in zip(LABELS, counts) for _ in range(n)]
+
+
+@example(tweets=tweets_of(("A", 2, 1, 0)))  # a single camp
+@example(tweets=tweets_of(("A", 1, 0, 1), ("B", 2, 0, 2), ("C", 0, 0, 1)))  # tied at the top
+@example(tweets=tweets_of(("A", 3, 0, 0), ("B", 1, 0, 1), ("C", 2, 0, 2), ("D", 3, 0, 3), ("E", 0, 2, 0)))
+@given(tweets=camp_tweets())
+def test_predict_matches_the_oracle(tweets):
+    scores = [score(f"t{i}", polarity=POLARITY[label]) for i, (_, label) in enumerate(tweets)]
+    by_tweet = {f"t{i}": camp for i, (camp, _) in enumerate(tweets) if camp is not None}
+    herd = neutral_herd()
+    report = predict(scores, CampAssignments(by_tweet, 0, 0), herd)
+    expected = reference_predict(tweets)
+    assert [camp._asdict() for camp in report.camps] == expected.pop("camps")
+    assert report._asdict() == {
+        **expected,
+        "camps": report.camps,
+        "herd_index": herd.herd_index,
+        "herd_flag": herd.herd_flag,
+    }
