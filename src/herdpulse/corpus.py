@@ -33,6 +33,11 @@ REQUIRED_KEYS = (
 MAX_INVALID_FRACTION = 0.5
 
 _decode_json = json.JSONDecoder().decode  # json.loads(str) without its per-call dispatch
+# 3.13 names a trailing comma; 3.10-3.12 report the token they expected after it
+_OLDER_JSON_MESSAGES = {
+    "Illegal trailing comma before end of object": "Expecting property name enclosed in double quotes",
+    "Illegal trailing comma before end of array": "Expecting value",
+}
 _BAD_HASHTAG_CHAR = re.compile(r"[#\s]")  # '#' or a char for which str.isspace() holds
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # RFC 3339 date-time or a bare date. Checked before fromisoformat, which on 3.11
@@ -122,7 +127,9 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
     if not isinstance(err, json.JSONDecodeError):  # an integer literal past the interpreter's digit limit
         return "integer too long"
     # json.loads names a leading U+FEFF; decode() only sees a bad value
-    return "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff" else err.msg
+    if text[:1] == "\ufeff":
+        return "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    return _OLDER_JSON_MESSAGES.get(err.msg, err.msg)
 
 
 def _parse_line(line: str) -> tuple[TweetRecord, int]:
@@ -184,6 +191,18 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
     return record, unknown
 
 
+def _shared(record: TweetRecord, strings: dict[str, str]) -> TweetRecord:
+    """``record`` with its author, tags, mentions and retweet target taken from ``strings``, added when new."""
+    one = strings.setdefault
+    tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count = record
+    hashtags = tuple([one(tag, tag) for tag in hashtags])
+    mentions = tuple([one(mention, mention) for mention in mentions])
+    retweet_of = None if retweet_of is None else one(retweet_of, retweet_of)
+    return TweetRecord(
+        tweet_id, one(author_id, author_id), text, timestamp, hashtags, mentions, retweet_of, follower_count
+    )
+
+
 def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadResult:
     """Load corpus files in one pass.
 
@@ -195,7 +214,8 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     '#' stripped) drop the records without it. Raises ``ValueError`` for a tag
     that can never match, before any file is read; ``OSError`` if a file is
     unreadable; :class:`CorpusFormatError` when more than half of a file's
-    non-empty lines are invalid (wrong-format guard).
+    non-empty lines are invalid (wrong-format guard). Equal ids and tags of
+    the kept records are one ``str`` object.
     """
     wanted = None if hashtag is None else hashtag.lstrip("#").lower()
     if hashtag == "":
@@ -205,6 +225,7 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     if wanted is not None and _BAD_HASHTAG_CHAR.search(wanted):
         raise ValueError("tag contains whitespace or '#' and can never match")
     records: list[TweetRecord] = []
+    strings: dict[str, str] = {}  # one object per distinct id and tag of the kept records
     invalid: list[LineError] = []
     unknown_keys = 0
     last_file: dict[str, int] = {}  # tweet_id -> index of the last file that held it
@@ -237,7 +258,7 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                 last_file[record.tweet_id] = index
                 unknown_keys += unknown
                 if held is None and (wanted is None or wanted in record.hashtags):
-                    records.append(record)
+                    records.append(_shared(record, strings))
 
         bad = len(invalid) - before
         if non_empty and bad / non_empty > MAX_INVALID_FRACTION:

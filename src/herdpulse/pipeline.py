@@ -13,8 +13,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .config import RunConfig
@@ -74,11 +75,11 @@ def analyze_corpus(loaded: LoadResult, config: RunConfig) -> AnalysisResult:
     """
     records = loaded.records
     tokens, scores, summary = score_corpus(records, config)
+    assignments = assign_corpus(tokens, records, config.camps or {})
+    del tokens  # the token tuples are the largest per-tweet data; the graph does not need them
     stats = clustering_stats(build_graph(records))
     profiles = profile_authors(scores, records, stats.local)
     herd = herd_report(profiles, config.band_edges, config.herd_threshold)
-
-    assignments = assign_corpus(tokens, records, config.camps or {})
     return AnalysisResult(
         loaded=loaded,
         config=config,
@@ -91,7 +92,7 @@ def analyze_corpus(loaded: LoadResult, config: RunConfig) -> AnalysisResult:
     )
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -124,7 +125,7 @@ def formatted_scores(scores: list[SentimentScore]) -> list[tuple[str, str, str]]
 def scores_csv(scores: list[SentimentScore], rows: list[tuple[str, str, str]]) -> str:
     return _csv_text(
         ["tweet_id", "polarity", "subjectivity", "label"],
-        [[s.tweet_id, polarity, subjectivity, s.label] for s, (_, polarity, subjectivity) in zip(scores, rows)],
+        ((s.tweet_id, polarity, subjectivity, s.label) for s, (_, polarity, subjectivity) in zip(scores, rows)),
     )
 
 
@@ -161,19 +162,19 @@ def bundle_files(result: AnalysisResult) -> dict[str, str]:
     )
     files["degree_distribution.csv"] = _csv_text(
         ["degree", "count"],
-        [[str(k), str(degree_counts[k])] for k in sorted(degree_counts)],
+        ((str(k), str(degree_counts[k])) for k in sorted(degree_counts)),
     )
     files["ck_curve.csv"] = _csv_text(
         ["degree", "mean_clustering"],
-        [[str(k), fixed(c)] for k, c in stats.ck_curve],
+        ((str(k), fixed(c)) for k, c in stats.ck_curve),
     )
     files["subjectivity_series.csv"] = _csv_text(
-        ["index", "subjectivity"], [[i, subjectivity] for i, _, subjectivity in rows]
+        ["index", "subjectivity"], ((i, subjectivity) for i, _, subjectivity in rows)
     )
-    files["polarity_series.csv"] = _csv_text(["index", "polarity"], [[i, polarity] for i, polarity, _ in rows])
+    files["polarity_series.csv"] = _csv_text(["index", "polarity"], ((i, polarity) for i, polarity, _ in rows))
     files["combined_series.csv"] = _csv_text(
         ["index", "subjectivity", "polarity"],
-        [[i, subjectivity, polarity] for i, polarity, subjectivity in rows],
+        ((i, subjectivity, polarity) for i, polarity, subjectivity in rows),
     )
     files["herd_report.json"] = _json_text(result.herd)
     files["prediction.json"] = _prediction_json(result)
@@ -183,7 +184,13 @@ def bundle_files(result: AnalysisResult) -> dict[str, str]:
 def write_bundle(
     result: AnalysisResult, out_dir: str | Path, config_path: str | None, corpus_paths: list[str]
 ) -> Path:
-    """Write the report files and their manifest, all encoded first: a text UTF-8 cannot encode writes nothing."""
+    """Write the report files and their manifest, all or none of them.
+
+    Every file is encoded first, so a text UTF-8 cannot encode writes nothing,
+    and every target must be absent or a regular file. Each file is written to
+    a temporary name in ``out_dir`` and moved into place with ``os.replace``
+    only once all of them are written; a failure removes the temporary files.
+    """
     loaded = result.loaded
     contents = {name: text.encode("utf-8") for name, text in sorted(bundle_files(result).items())}
     emitted = [{"name": name, "sha256": hashlib.sha256(data).hexdigest()} for name, data in contents.items()]
@@ -207,9 +214,25 @@ def write_bundle(
     contents["manifest.json"] = _json_text(manifest).encode("utf-8")
 
     out = Path(out_dir)
+    for name in contents:
+        target = out / name
+        if target.exists() and not target.is_file():
+            raise OSError(f"{target}: exists and is not a regular file")
     out.mkdir(parents=True, exist_ok=True)
-    # the manifest goes first and comes back last: an old one would vouch for files a failed rewrite replaced
-    (out / "manifest.json").unlink(missing_ok=True)
-    for name, data in contents.items():
-        (out / name).write_bytes(data)
+    written: list[Path] = []
+    try:
+        for name, data in contents.items():
+            temporary = out / f".{name}.{os.getpid()}.tmp"
+            with open(temporary, "xb") as handle:
+                written.append(temporary)
+                handle.write(data)
+        # the manifest goes before the first move and comes back last: an old one
+        # would vouch for a bundle that a failed move left mixed
+        (out / "manifest.json").unlink(missing_ok=True)
+        for temporary, name in zip(written, contents):
+            os.replace(temporary, out / name)
+    except BaseException:
+        for temporary in written:
+            temporary.unlink(missing_ok=True)
+        raise
     return out / "manifest.json"

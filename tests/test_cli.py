@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from herdpulse import pipeline
 from herdpulse.cli import main
 from herdpulse.herd import BandStat, CampResult, HerdReport, PredictionReport
 
@@ -561,17 +563,59 @@ def test_plot_extreme_values_write_finite_coordinates(tmp_path, capsys, case):
         assert coordinates and all(math.isfinite(float(value)) for value in coordinates), svg.name
 
 
-def test_failed_rewrite_leaves_no_manifest(tmp_path, capsys):
+def _tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Relative path -> bytes of every file under ``root``, ``None`` for a directory."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def test_failed_rewrite_changes_nothing(tmp_path, capsys):
     out = tmp_path / "mo"
     assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out)]) == 0
     (out / "scores.csv").unlink()
     (out / "scores.csv").mkdir()
-    # without camps prediction.json changes, and it sorts before the file that cannot be written
+    before = _tree_bytes(out)
+    # without camps prediction.json changes, and it sorts before the target that cannot be written
     assert main(["analyze", "--corpus", DEMO_CORPUS, "--out", str(out)]) == 2
-    assert "Is a directory" in capsys.readouterr().err
-    assert json.loads((out / "prediction.json").read_text(encoding="utf-8"))["error"] == "no camp signal"
-    # no manifest vouches for the mixed files
-    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr().err == f"error: {out / 'scores.csv'}: exists and is not a regular file\n"
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("k", range(1, len(BUNDLE_NAMES) + 1))
+def test_failed_kth_write_keeps_the_old_bundle(tmp_path, monkeypatch, capsys, k):
+    out = tmp_path / "bundle"
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = _tree_bytes(out)
+
+    class ShortWrite:
+        """A file whose write stores one byte, then fails as a full disk would."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[:1])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        opened.append(path)
+        handle = open(path, mode, *args, **kwargs)
+        return ShortWrite(handle) if len(opened) == k else handle
+
+    monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+    # without camps prediction.json would change
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(opened) == k
+    assert _tree_bytes(out) == before
 
 
 def test_module_entry_point_subprocess():

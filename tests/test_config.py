@@ -70,6 +70,18 @@ def test_config_and_data_files_share_one_decode_and_keep_their_messages(tmp_path
 
 
 @pytest.mark.parametrize(
+    "text, reason",
+    [('{"a": 1,}', "Expecting property name enclosed in double quotes"), ("[1,]", "Expecting value")],
+)
+def test_trailing_comma_config_names_the_same_reason_on_every_interpreter(tmp_path, text, reason):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == f"{path}: not valid JSON ({reason})"
+
+
+@pytest.mark.parametrize(
     "camps, message",
     [
         ({}, "at least one camp required"),

@@ -15,6 +15,7 @@ from herdpulse.corpus import (
     CorpusFormatError,
     LineError,
     TweetRecord,
+    _json_reason,
     _parse_timestamp,
 )
 
@@ -142,6 +143,8 @@ def test_leading_bom_is_stripped(tmp_path):
         ("[" * 100_000, "invalid JSON: nested too deeply"),
         ('{"follower_count": ' + "1" * 5000 + "}", "invalid JSON: integer too long"),
         ("\ufeff" + record_line(), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"a": 1,}', "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[1,]", "invalid JSON: Expecting value"),
         (record_line(tweet_id="\ud800"), "tweet_id contains a lone surrogate"),
         (record_line(author_id="a\udfff"), "author_id contains a lone surrogate"),
         (record_line(text="\ude00\ud83d"), "text contains a lone surrogate"),
@@ -152,7 +155,7 @@ def test_leading_bom_is_stripped(tmp_path):
         (record_line(hashtags=["#a\x1c"]), "hashtag contains whitespace or '#': '#a\\x1c'"),
         (record_line(mentions=["a2", ""]), "mentions must be an array of non-empty strings"),
     ],
-    ids=["year_1", "year_9999", "nesting", "long_int", "later_bom"]
+    ids=["year_1", "year_9999", "nesting", "long_int", "later_bom", "trailing_comma_object", "trailing_comma_array"]
     + [f"surrogate_{key}" for key in ("tweet_id", "author_id", "text", "hashtags", "mentions", "retweet_of")]
     + ["ideographic_space_tag", "separator_control_tag", "empty_mention"],
 )
@@ -162,6 +165,19 @@ def test_hostile_line_is_a_line_error(tmp_path, line, reason):
     result = load_corpora([path])
     assert [r.tweet_id for r in result.records] == ["t0"]
     assert result.invalid == [LineError(2, reason)]
+
+
+@pytest.mark.parametrize(
+    "text, message, reason",
+    [
+        ('{"a": 1,}', "Illegal trailing comma before end of object", "Expecting property name enclosed in double quotes"),
+        ("[1,]", "Illegal trailing comma before end of array", "Expecting value"),
+        ("[1,,]", "Expecting value", "Expecting value"),
+    ],
+)
+def test_json_reason_gives_the_pre_3_13_trailing_comma_wording(text, message, reason):
+    # 3.13 raises the first message for a trailing comma; every interpreter must print the same reason
+    assert _json_reason(json.JSONDecodeError(message, text, 1), text) == reason
 
 
 def test_surrogate_pair_escape_and_unknown_key_surrogate_are_kept(corpus_file):
@@ -290,6 +306,67 @@ def test_merge_corpora_dedups_across_files(corpus_file):
     result = load_corpora([p1, p2])
     assert _kept_ids(result) == ["t1", "t2", "t3"]
     assert (result.loaded_records, result.invalid) == (3, [])
+
+
+def _shared_strings(records):
+    """Value -> the distinct objects holding it, over every id and tag of ``records``."""
+    holders: dict[str, dict[int, str]] = {}
+    for r in records:
+        for value in (r.author_id, *r.hashtags, *r.mentions, r.retweet_of):
+            if value is not None:
+                holders.setdefault(value, {})[id(value)] = value
+    return holders
+
+
+def test_equal_ids_and_tags_of_kept_records_are_one_object(corpus_file):
+    p1 = corpus_file(
+        [
+            record_line(tweet_id="t1", author_id="alice", hashtags=["#Rally", "vote"], mentions=["bobby", "carol"]),
+            record_line(tweet_id="t2", author_id="bobby", hashtags=["rally"], retweet_of="alice"),
+        ],
+        name="a.jsonl",
+    )
+    p2 = corpus_file(
+        [
+            record_line(tweet_id="t3", author_id="carol", hashtags=["RALLY"], mentions=["alice", "bobby"]),
+            record_line(tweet_id="t4", author_id="alice", hashtags=["#vote"], retweet_of="carol"),
+        ],
+        name="b.jsonl",
+    )
+    records = load_corpora([p1, p2]).records
+    holders = _shared_strings(records)
+    assert sorted(holders) == ["alice", "bobby", "carol", "rally", "vote"]
+    assert all(len(objects) == 1 for objects in holders.values()), holders
+    assert records[0].hashtags[0] is records[1].hashtags[0] is records[2].hashtags[0]
+    assert records[0].mentions[0] is records[1].author_id is records[2].mentions[1]
+    assert records[1].retweet_of is records[0].author_id is records[3].author_id
+
+
+def test_shared_strings_change_no_output():
+    from herdpulse import load_config
+    from herdpulse.pipeline import analyze_corpus, bundle_files
+
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data"
+    loaded = load_corpora([demo / "demo_tweets.jsonl"])
+    config = load_config(demo / "demo_config.json")
+
+    def fresh(value):
+        return None if value is None else "".join(list(value))
+
+    copies = tuple(
+        r._replace(
+            author_id=fresh(r.author_id),
+            hashtags=tuple(map(fresh, r.hashtags)),
+            mentions=tuple(map(fresh, r.mentions)),
+            retweet_of=fresh(r.retweet_of),
+        )
+        for r in loaded.records
+    )
+    assert copies == loaded.records
+    assert any(len(objects) > 1 for objects in _shared_strings(copies).values())
+    assert all(len(objects) == 1 for objects in _shared_strings(loaded.records).values())
+    shared = bundle_files(analyze_corpus(loaded, config))
+    assert bundle_files(analyze_corpus(loaded._replace(records=copies), config)) == shared
 
 
 def test_first_occurrence_wins_across_files_before_the_filter(corpus_file):
