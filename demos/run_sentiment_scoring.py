@@ -8,7 +8,8 @@ label shares in the truncated two-decimal format used by the reports.
 
 from pathlib import Path
 
-from herdpulse import load_config, load_corpora, preprocess, score_tokens, summarize
+from herdpulse import load_config, load_corpora, preprocess, score_tokens
+from herdpulse.pipeline import score_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,12 +32,9 @@ for record in result.records[:4]:
         f"subjectivity {score.subjectivity:.3f}  {score.label}"
     )
 
-# 3. Shares over the whole corpus. Percentages are truncated, never rounded, so the
-#    printed numbers match the report files digit for digit.
-records = result.records
-tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in records]
-scores = [score_tokens(r.tweet_id, t, config.lexicon, config.negation_words) for r, t in zip(records, tokens)]
-summary = summarize(scores)
+# 3. Shares over the whole corpus, scored as analyze scores it. Percentages are truncated,
+#    never rounded, so the printed numbers match the report files digit for digit.
+_, _, summary = score_corpus(result.records, config)
 print(f"\n{summary.total} tweets:")
 print(f"  negative {summary.negative_pct}%  ({summary.negative})")
 print(f"  positive {summary.positive_pct}%  ({summary.positive})")

@@ -7,16 +7,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from itertools import chain
 from pathlib import Path
 
-from .config import ConfigError, check_utf8, load_config
+from .config import ConfigError, _read_text, check_utf8, load_config
 from .corpus import CorpusFormatError, LoadResult, load_corpora
 from .pipeline import (
     NO_CAMP_SIGNAL,
     analyze_corpus,
+    fixed,
     formatted_scores,
     score_corpus,
     scores_csv,
@@ -104,7 +106,7 @@ def cmd_analyze(args) -> int:
     write_bundle(result, args.out, args.config, list(args.corpus))
 
     _print_summary(result.summary)
-    print(f"herd index: {result.herd.herd_index:.6f} (flag: {result.herd.herd_flag})")
+    print(f"herd index: {fixed(result.herd.herd_index)} (flag: {result.herd.herd_flag})")
     if result.prediction is not None:
         winner = result.prediction.winner if result.prediction.winner else "undecided"
         print(f"predicted winner: {winner}")
@@ -116,22 +118,17 @@ def cmd_analyze(args) -> int:
 def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     """Header and rows of finite numbers; raises ValueError as ``path:line: reason``.
 
+    The file is read as every other input is: UTF-8, a leading BOM ignored.
     Rows are converted and checked in bulk, which keeps the check off the
     per-row path of a large series; only a failing file is scanned row by row
     to name its first bad line.
     """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader, None)
-                rows = [[float(cell) for cell in row] for row in reader] if header else []
-            except UnicodeDecodeError:
-                raise
-            except (ValueError, csv.Error) as err:  # csv.Error: a cell past csv's field size limit
-                raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not valid UTF-8") from None
+        header = next(reader, None)
+        rows = [[float(cell) for cell in row] for row in reader] if header else []
+    except (ValueError, csv.Error) as err:  # csv.Error: a cell past csv's field size limit
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     if not header:
         raise ValueError(f"{path}:1: no header")
     width = len(header)

@@ -4,7 +4,8 @@ Recognized keys (all optional unless noted):
 
   band_edges          subjectivity band edges, strictly increasing 0..1
   herd_threshold      herd flag threshold (default 0)
-  camps               object camp_id -> array of lowercase keywords
+  camps               object camp_id -> array of keywords, each a stored hashtag
+                      as written (no '#' or whitespace, no A-Z)
   stopwords_path      stopword file (default: packaged list)
   stemmer_rules_path  stemmer rule table (default: packaged table)
   negation_words_path negation word file (default: packaged list)
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .corpus import _json_reason
+from .corpus import _NEVER_MATCHES, _SURROGATE, _json_reason, _stored_tag
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
 from .preprocess import StemmerRules, StemRule
 from .sentiment import Lexicon
@@ -35,7 +36,7 @@ class ConfigError(ValueError):
 class RunConfig(NamedTuple):
     band_edges: tuple[float, ...]
     herd_threshold: float
-    camps: dict[str, frozenset[str]] | None  # camp id -> lowercase keywords
+    camps: dict[str, frozenset[str]] | None  # camp id -> keywords
     stopwords: frozenset[str]
     stemmer_rules: StemmerRules
     negation_words: frozenset[str]
@@ -142,10 +143,8 @@ def check_utf8(key: str, texts) -> None:
     In a config file only a ``\\u`` escape makes one; in argv, a byte of a path that is not UTF-8 does.
     """
     for text in texts:
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"{key}: not encodable as UTF-8: {text!r}") from None
+        if _SURROGATE.search(text):
+            raise ConfigError(f"{key}: not encodable as UTF-8: {text!r}")
 
 
 def _resolve(base: Path, key: str, value) -> Path:
@@ -206,11 +205,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
                 raise ConfigError(f"camp {camp_id!r} has no keywords")
             check_utf8("camps", [camp_id, *keywords])
             for word in keywords:
-                if word != word.lower():
-                    raise ConfigError(f"camp {camp_id!r} keyword not lowercase: {word!r}")
-                # a keyword matches a [a-z]+ token or a stored hashtag, which holds no '#' or space
-                if "#" in word or word.split() != [word]:
-                    raise ConfigError(f"camp {camp_id!r} keyword can never match: {word!r}")
+                # a keyword matches a [a-z]+ token or a stored hashtag, so it must be one as written
+                if _stored_tag(word) != word:
+                    raise ConfigError(f"camp {camp_id!r}: " + _NEVER_MATCHES.format(word))
         config["camps"] = {camp_id: frozenset(keywords) for camp_id, keywords in camps_raw.items()}
 
     for key, (field, loader, packaged) in _DATA_FILES.items():

@@ -39,6 +39,10 @@ _OLDER_JSON_MESSAGES = {
     "Illegal trailing comma before end of array": "Expecting value",
 }
 _BAD_HASHTAG_CHAR = re.compile(r"[#\s]")  # '#' or a char for which str.isspace() holds
+# Unicode case mappings change between interpreter versions (3.10 lowercases
+# U+2C2F to itself, 3.11 to U+2C5F), so a tag folds A-Z and nothing else
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+_NEVER_MATCHES = "hashtag can never match: {!r}"
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # RFC 3339 date-time or a bare date. Checked before fromisoformat, which on 3.11
 # also reads week, ordinal and basic-format dates; on 3.10 it reads a fraction
@@ -55,7 +59,7 @@ class CorpusFormatError(ValueError):
 
 
 class TweetRecord(NamedTuple):
-    """One ingested post, normalized (lowercase hashtags, no self-mentions)."""
+    """One ingested post, normalized (hashtags without leading '#', A-Z lowercased; no self-mentions)."""
 
     tweet_id: str
     author_id: str
@@ -104,6 +108,13 @@ def _parse_timestamp(value) -> datetime:
         raise ValueError(f"timestamp out of range: {value!r}") from None
 
 
+def _stored_tag(text: str) -> str | None:
+    """``text`` as a tag is stored (leading '#'s stripped, A-Z lowercased), or None if no stored tag can equal it."""
+    tag = text.lstrip("#")
+    tag = tag.lower() if tag.isascii() else tag.translate(_ASCII_LOWER)
+    return tag if tag and not _BAD_HASHTAG_CHAR.search(tag) else None
+
+
 def _parse_hashtags(value) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ValueError("hashtags must be an array of strings")
@@ -111,11 +122,9 @@ def _parse_hashtags(value) -> tuple[str, ...]:
     for item in value:
         if not isinstance(item, str):
             raise ValueError("hashtags must be an array of strings")
-        tag = item.lstrip("#").lower()
-        if not tag:
-            raise ValueError("hashtag empty after normalization")
-        if _BAD_HASHTAG_CHAR.search(tag):
-            raise ValueError(f"hashtag contains whitespace or '#': {item!r}")
+        tag = _stored_tag(item)
+        if tag is None:
+            raise ValueError(_NEVER_MATCHES.format(item))
         tags.append(tag)
     return tuple(tags)
 
@@ -210,20 +219,16 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     text stays inside its line and bad UTF-8 spoils only its own line; a
     leading BOM is ignored. Invalid lines are kept as :class:`LineError`
     entries; a repeated tweet_id within a file is one. Across files the first
-    occurrence wins, and only then does ``hashtag`` (case-insensitive, leading
-    '#' stripped) drop the records without it. Raises ``ValueError`` for a tag
-    that can never match, before any file is read; ``OSError`` if a file is
-    unreadable; :class:`CorpusFormatError` when more than half of a file's
+    occurrence wins, and only then does ``hashtag`` (leading '#'s stripped,
+    A-Z lowercased) drop the records without it. Raises ``ValueError`` for a
+    tag that can never match, before any file is read; ``OSError`` if a file
+    is unreadable; :class:`CorpusFormatError` when more than half of a file's
     non-empty lines are invalid (wrong-format guard). Equal ids and tags of
     the kept records are one ``str`` object.
     """
-    wanted = None if hashtag is None else hashtag.lstrip("#").lower()
-    if hashtag == "":
-        raise ValueError("tag must be non-empty")
-    if wanted == "":
-        raise ValueError("tag must be non-empty after stripping '#'")
-    if wanted is not None and _BAD_HASHTAG_CHAR.search(wanted):
-        raise ValueError("tag contains whitespace or '#' and can never match")
+    wanted = None if hashtag is None else _stored_tag(hashtag)
+    if hashtag is not None and wanted is None:
+        raise ValueError(_NEVER_MATCHES.format(hashtag))
     records: list[TweetRecord] = []
     strings: dict[str, str] = {}  # one object per distinct id and tag of the kept records
     invalid: list[LineError] = []

@@ -60,13 +60,11 @@ class StemmerRules:
     """
 
     def __init__(self, rules: list[StemRule]):
-        self._by_suffix: dict[str, list[int]] = {}  # suffix -> rule indices in table order
-        for index, rule in enumerate(rules):
+        for rule in rules:
             if not rule.suffix:
                 raise ValueError("stemmer rule with empty suffix")
-            if rule.replacement and not (
-                rule.replacement.isalpha() and rule.replacement.islower()
-            ):
+            # tokens are [a-z]+ on every interpreter; str.islower() would follow its Unicode version
+            if _NON_LETTER_RE.search(rule.replacement):
                 raise ValueError(
                     f"stemmer replacement must be lowercase letters: {rule.replacement!r}"
                 )
@@ -78,9 +76,8 @@ class StemmerRules:
                     "stemmer replacement must equal its suffix or be shorter: "
                     f"{rule.suffix!r} -> {rule.replacement!r}"
                 )
-            self._by_suffix.setdefault(rule.suffix, []).append(index)
         self.rules = tuple(rules)
-        self._suffix_lengths = sorted({len(suffix) for suffix in self._by_suffix})
+        self._suffixes = tuple(rule.suffix for rule in rules)
         self._stems: dict[str, str] = {}
 
     def stem(self, token: str) -> str:
@@ -93,16 +90,11 @@ class StemmerRules:
         return stemmed
 
     def _apply_once(self, token: str) -> str:
-        first = len(self.rules)  # index of the first matching rule in table order
-        for length in self._suffix_lengths:
-            for index in self._by_suffix.get(token[-length:], ()):
-                if len(token) - length >= self.rules[index].min_stem_length:
-                    first = min(first, index)
-                    break
-        if first == len(self.rules):
-            return token
-        rule = self.rules[first]
-        return token[: len(token) - len(rule.suffix)] + rule.replacement
+        if token.endswith(self._suffixes):  # one C-level test spares most tokens the scan
+            for suffix, replacement, min_stem_length in self.rules:
+                if token.endswith(suffix) and len(token) - len(suffix) >= min_stem_length:
+                    return token[: len(token) - len(suffix)] + replacement
+        return token
 
 
 def preprocess(text: str, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> tuple[str, ...]:

@@ -5,7 +5,7 @@ library's counting helpers, so they stay a genuinely independent check; the
 module imports nothing from ``herdpulse``. Graphs are edge lists, read here
 as a plain ``node -> neighbors`` dict that :func:`adjacency` builds. The text
 references are the plain loops the library's stemmer and ``normalize``
-shortcut: no memo, no suffix index, no regex, no early stop. The ingestion
+shortcut: no memo, no suffix pre-check, no regex, no early stop. The ingestion
 reference restates the per-line rules with ``json.loads`` and plain field
 checks, reads timestamps by hand instead of with ``fromisoformat``, loads
 several files the old way (each file whole, then merge, then filter), and
@@ -222,13 +222,32 @@ def reference_timestamp(value) -> datetime:
     return moment.replace(tzinfo=timezone.utc)
 
 
+# 3.13 words a trailing comma its own way; the reasons keep the 3.10-3.12 wording
+_JSON_MESSAGES_BEFORE_3_13 = {
+    "Illegal trailing comma before end of object": "Expecting property name enclosed in double quotes",
+    "Illegal trailing comma before end of array": "Expecting value",
+}
+
+
+def reference_tag(text: str) -> str | None:
+    """A tag as stored: '#'s stripped from the front, each of A-Z replaced by
+    its lowercase letter one character at a time; None when that leaves it
+    empty or it holds '#' or whitespace, so no stored tag can equal it."""
+    while text.startswith("#"):
+        text = text[1:]
+    tag = "".join(chr(ord(ch) + 32) if "A" <= ch <= "Z" else ch for ch in text)
+    if not tag or "#" in tag or any(ch.isspace() for ch in tag):
+        return None
+    return tag
+
+
 def _reference_record(line: str) -> tuple[tuple, int]:
     """One non-blank line -> (field values in ``CORPUS_KEYS`` order,
     unknown-key count); raises ``ValueError`` with the line's reason."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:
-        raise ValueError(f"invalid JSON: {err.msg}") from None
+        raise ValueError(f"invalid JSON: {_JSON_MESSAGES_BEFORE_3_13.get(err.msg, err.msg)}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
     except ValueError:  # an integer literal longer than the interpreter's digit limit
@@ -257,11 +276,9 @@ def _reference_record(line: str) -> tuple[tuple, int]:
     for item in raw_tags:
         if not isinstance(item, str):
             raise ValueError("hashtags must be an array of strings")
-        tag = item.lstrip("#").lower()
-        if not tag:
-            raise ValueError("hashtag empty after normalization")
-        if "#" in tag or any(ch.isspace() for ch in tag):
-            raise ValueError(f"hashtag contains whitespace or '#': {item!r}")
+        tag = reference_tag(item)
+        if tag is None:
+            raise ValueError(f"hashtag can never match: {item!r}")
         hashtags.append(tag)
 
     raw_mentions = obj["mentions"]
@@ -338,7 +355,7 @@ def reference_load_files(files: list[list[str]], tag: str | None) -> tuple | Non
             if fields[0] not in seen:
                 seen.add(fields[0])
                 merged.append(fields)
-    kept = merged if tag is None else [f for f in merged if tag.lstrip("#").lower() in f[4]]
+    kept = merged if tag is None else [f for f in merged if reference_tag(tag) in f[4]]
     return kept, errors, unknown, len(merged)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from herdpulse import pipeline
 from herdpulse.cli import main
-from herdpulse.herd import BandStat, CampResult, HerdReport, PredictionReport
+from herdpulse.herd import AuthorProfile, BandStat, CampResult, HerdReport, PredictionReport
 
 from .conftest import record_line
 
@@ -200,6 +200,27 @@ def test_analyze_cyclic_stemmer_table_is_config_failure(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_non_ascii_stemmer_replacement_is_config_failure(tmp_path, capsys):
+    # U+2C5F is a lowercase letter to str.islower() on 3.11+ only; tokens are [a-z]+ everywhere
+    (tmp_path / "rules.tsv").write_text("xs\t\u2c5f\t0\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stemmer_rules_path": "rules.tsv"}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stemmer replacement must be lowercase letters: '\u2c5f'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_prints_a_negative_zero_herd_index_as_zero(tmp_path, capsys, monkeypatch):
+    # mean clustering 0.1 in the top band minus fsum(0.1, 0.2, 0.0) / 3 is -1.39e-17
+    profiles = [AuthorProfile("a", 0.9, 0.1), AuthorProfile("b", 0.1, 0.2), AuthorProfile("c", 0.1, 0.0)]
+    monkeypatch.setattr(pipeline, "profile_authors", lambda *args: profiles)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out_dir)]) == 0
+    assert "herd index: 0.000000 (flag: False)\n" in capsys.readouterr().out
+    assert '"herd_index": "0.000000"' in (out_dir / "herd_report.json").read_text(encoding="utf-8")
+
+
 HOSTILE_LINES = {
     "out_of_range_timestamp": (
         record_line(tweet_id="bad", timestamp="0001-01-01T00:00:00+01:00"),
@@ -382,27 +403,27 @@ def test_bundle_json_keys_are_the_record_fields(tmp_path):
     assert [set(camp) for camp in prediction["camps"]] == [set(CampResult._fields)] * 2
 
 
-# case -> (command, --hashtag value, reason)
+# case -> (command, --hashtag value)
 NO_TAG = {
-    "analyze": ("analyze", "#", "tag must be non-empty after stripping '#'"),
-    "score": ("score", "#", "tag must be non-empty after stripping '#'"),
-    "analyze_empty": ("analyze", "", "tag must be non-empty"),
-    "score_empty": ("score", "", "tag must be non-empty"),
-    "analyze_space": ("analyze", "a b", "tag contains whitespace or '#' and can never match"),
-    "score_space": ("score", "#a b", "tag contains whitespace or '#' and can never match"),
-    "analyze_inner_hash": ("analyze", "x#y", "tag contains whitespace or '#' and can never match"),
-    "score_inner_hash": ("score", "x#y", "tag contains whitespace or '#' and can never match"),
-    "score_nbsp": ("score", "west\u00a0bengal", "tag contains whitespace or '#' and can never match"),
+    "analyze": ("analyze", "#"),
+    "score": ("score", "#"),
+    "analyze_empty": ("analyze", ""),
+    "score_empty": ("score", ""),
+    "analyze_space": ("analyze", "a b"),
+    "score_space": ("score", "#a b"),
+    "analyze_inner_hash": ("analyze", "x#y"),
+    "score_inner_hash": ("score", "x#y"),
+    "score_nbsp": ("score", "west\u00a0bengal"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NO_TAG))
 def test_hashtag_without_a_tag_is_config_failure(tmp_path, capsys, case):
-    command, tag, reason = NO_TAG[case]
+    command, tag = NO_TAG[case]
     out_dir = tmp_path / "out"
     code = main([command, "--corpus", DEMO_CORPUS, "--hashtag", tag, "--out", str(out_dir)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: --hashtag {tag!r}: {reason}\n"
+    assert capsys.readouterr().err == f"error: --hashtag {tag!r}: hashtag can never match: {tag!r}\n"
     assert not out_dir.exists()
 
 
@@ -413,7 +434,7 @@ def test_bad_hashtag_fails_before_any_corpus_is_read(tmp_path, capsys, command):
         out_dir = tmp_path / "out"
         assert main([command, "--corpus", corpus, "--hashtag", "a b", "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == (
-            "error: --hashtag 'a b': tag contains whitespace or '#' and can never match\n"
+            "error: --hashtag 'a b': hashtag can never match: 'a b'\n"
         )
         assert not out_dir.exists()
 
@@ -481,6 +502,16 @@ def test_plot_rerun_byte_identical(tmp_path):
         assert svg.read_bytes() == (p2 / svg.name).read_bytes()
 
 
+def test_plot_ignores_a_bom_on_a_series_csv(tmp_path):
+    bundle, out = tmp_path / "bom", tmp_path / "svg"
+    shutil.copytree(GOLDEN_BUNDLE, bundle)
+    for path in bundle.glob("*.csv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["plot", str(bundle), "--out", str(out)]) == 0
+    for svg in Path(GOLDEN_BUNDLE).glob("*.svg"):
+        assert (out / svg.name).read_bytes() == svg.read_bytes(), svg.name
+
+
 def test_plot_partial_bundle_continues(tmp_path, capsys):
     bundle = tmp_path / "partial"
     bundle.mkdir()
@@ -511,6 +542,7 @@ def test_plot_missing_bundle_dir_is_io_failure(tmp_path, capsys):
 
 BAD_SERIES = {
     "empty": (b"", "1: no header"),
+    "bom_only": (b"\xef\xbb\xbf", "1: no header"),
     "not_a_number": (b"index,polarity\n0,0.5\n1,abc\n", "3: could not convert string to float: 'abc'"),
     "nan": (b"index,polarity\n0,nan\n", "2: expected 2 finite numbers, got [0.0, nan]"),
     "inf": (b"index,polarity\n0,0.5\n1,-inf\n", "3: expected 2 finite numbers, got [1.0, -inf]"),

@@ -3,9 +3,10 @@
 Runs ``analyze``, ``plot`` and ``validate`` by subprocess (``PYTHONPATH=src``)
 under each of python3.10-3.13 found on ``PATH`` or under ``~/.pyenv/versions``,
 and compares every bundle and SVG byte, exit code and output with the running
-interpreter. Only the running interpreter needs pytest. Case folding is left
-out: hashtags whose lowercase differs between Unicode versions still load
-differently.
+interpreter. The inputs include the code points whose lowercase differs
+between those interpreters' Unicode versions, as tags, as ``--hashtag`` and as
+a camp keyword. Each interpreter also runs the loader oracle against the
+loader on the hostile corpus. Only the running interpreter needs pytest.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demos" / "data"
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+# the 40 code points that str.lower() maps differently on 3.10 (Unicode 13.0) and 3.11-3.13 (14.0-15.1)
+CASE_SHIFTED = "\u2c2f\ua7c0\ua7d0\ua7d6\ua7d8" + "".join(
+    chr(c) for c in range(0x10570, 0x10596) if c not in (0x1057B, 0x1058B, 0x10593)
+)
+# prints the oracle's and the loader's invalid lines and kept-record counts for the corpus in argv[1]
+ORACLE_CHECK = """
+import json, sys
+from pathlib import Path
+from herdpulse import load_corpora
+from tests.oracles import reference_load_lines
+records, errors, _ = reference_load_lines(Path(sys.argv[1]).read_bytes().decode("utf-8").split("\\n"))
+result = load_corpora([sys.argv[1]])
+print(json.dumps([errors, len(records), [list(e) for e in result.invalid], len(result.records)]))
+"""
 
 
 def _interpreter(version: str) -> str | None:
@@ -43,7 +58,7 @@ def _interpreter(version: str) -> str | None:
 
 
 def _small_corpus(path: Path) -> None:
-    """ASCII tags, a BOM, U+2028 in a text, trailing commas, a repeated id and a hub."""
+    """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub and tags whose lowercase moved."""
     def line(i, author, text, hashtags=(), mentions=(), retweet_of=None):
         obj = {
             "tweet_id": f"t{i}", "author_id": author, "text": text,
@@ -63,69 +78,100 @@ def _small_corpus(path: Path) -> None:
         line(2, "u2", "a repeated id is a line error", ["rally"], ["hub"]),
         line(5, "u5", "xforward and onward", ["XForward", "rally"], ["hub", "u1"], retweet_of="hub"),
         line(6, "u6", "", [], ["hub"]),
+        line(7, "u7", "old letters", list(CASE_SHIFTED), ["hub"]),
+        line(8, "u8", "the new lowercase", ["\u2c5f", "\ua7c0"], ["hub", "u7"]),
+        line(10, "u1", "partyx all the way", ["#\u2c5f", "\ua7c1"], ["u8"]),
     ]
     path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
 
 
-def _run_all(python: str, small: Path, work: Path) -> dict:
-    """Exit codes, stdout, stderr and output bytes of every command under ``python``, run in ``work``."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
+def _cased_config(path: Path) -> None:
+    """The demo config with a camp whose keyword is a moved code point, which 3.11+ lowercase."""
+    config = json.loads((DEMO / "demo_config.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, "camps": {**config["camps"], "Old": ["\ua7c0"]}}), encoding="utf-8")
+
+
+def _run_all(python: str, inputs: Path, work: Path) -> dict:
+    """Exit codes, stdout, stderr and output bytes of every command under ``python``, run in ``work``.
+
+    ``inputs`` holds the files of the ``inputs`` fixture; the manifests name them, so they are shared.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]), PYTHONDONTWRITEBYTECODE="1")
     work.mkdir()
+    small, cased = inputs / "small.jsonl", inputs / "cased.json"
+    corpora = {"demo": DEMO / "demo_tweets.jsonl", "small": small}
     runs = {
-        "demo": ["--corpus", str(DEMO / "demo_tweets.jsonl"), "--config", str(DEMO / "demo_config.json")],
+        "demo": ["--corpus", str(corpora["demo"]), "--config", str(DEMO / "demo_config.json")],
         "small": ["--corpus", str(small), "--config", str(DEMO / "demo_config.json")],
+        "cased": ["--corpus", str(small), "--config", str(cased), "--hashtag", "\u2c5f"],
     }
     seen = {}
 
     def run(key, *args):
-        proc = subprocess.run(
-            [python, "-m", "herdpulse.cli", *args], capture_output=True, cwd=work, env=env, timeout=120
-        )
+        proc = subprocess.run([python, *args], capture_output=True, cwd=work, env=env, timeout=120)
         seen[key] = (proc.returncode, proc.stdout, proc.stderr)
 
+    run("oracle", "-c", ORACLE_CHECK, str(small))
+    for label, corpus in corpora.items():
+        run(f"{label} validate", "-m", "herdpulse.cli", "validate", "--corpus", str(corpus))
     for label, args in runs.items():
-        run(f"{label} validate", "validate", args[0], args[1])
-        run(f"{label} analyze", "analyze", *args, "--out", label)
-        run(f"{label} plot", "plot", label)
-        for path in sorted((work / label).iterdir()):
+        run(f"{label} analyze", "-m", "herdpulse.cli", "analyze", *args, "--out", label)
+        run(f"{label} plot", "-m", "herdpulse.cli", "plot", label)
+        out = work / label
+        for path in sorted(out.iterdir()) if out.is_dir() else []:
             seen[f"{label}/{path.name}"] = path.read_bytes()
     return seen
 
 
-@pytest.fixture(scope="module")
-def small(tmp_path_factory):
-    path = tmp_path_factory.mktemp("interpreters") / "small.jsonl"
-    _small_corpus(path)
-    return path
+def _oracle_agrees(seen: dict) -> None:
+    code, stdout, stderr = seen["oracle"]
+    assert code == 0, stderr.decode("utf-8", "replace")
+    oracle_errors, oracle_records, loader_errors, loader_records = json.loads(stdout)
+    assert (oracle_errors, oracle_records) == (loader_errors, loader_records)
 
 
 @pytest.fixture(scope="module")
-def reference(small):
-    return _run_all(sys.executable, small, small.parent / "running")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("interpreters")
+    _small_corpus(directory / "small.jsonl")
+    _cased_config(directory / "cased.json")
+    return directory
+
+
+@pytest.fixture(scope="module")
+def reference(inputs):
+    return _run_all(sys.executable, inputs, inputs / "running")
 
 
 @pytest.mark.parametrize("version", VERSIONS)
-def test_every_interpreter_writes_the_same_bytes(version, small, reference):
+def test_every_interpreter_writes_the_same_bytes(version, inputs, reference):
     running = "%d.%d" % sys.version_info[:2]
     if version == running:
         pytest.skip(f"python{version} is the running interpreter")
     python = _interpreter(version)
     if python is None:
         pytest.skip(f"no python{version} on PATH or under ~/.pyenv/versions")
-    seen = _run_all(python, small, small.parent / version)
+    seen = _run_all(python, inputs, inputs / version)
+    _oracle_agrees(seen)
     assert list(seen) == list(reference)
     differ = [key for key in reference if seen[key] != reference[key]]
     assert not differ, f"{python} differs from python{running} in {differ}"
 
 
 def test_reference_runs_cover_every_output(reference):
-    assert reference["demo analyze"][0] == 0
-    assert reference["small analyze"][0] == 0
+    _oracle_agrees(reference)
+    for label in ("demo", "small", "cased"):
+        assert reference[f"{label} analyze"][0] == 0
     assert reference["small validate"][0] == 1
     stdout = reference["small validate"][1].decode("utf-8")
     assert ":4: invalid JSON: Expecting property name enclosed in double quotes" in stdout
     assert ":7: invalid JSON: Expecting value" in stdout
     assert ":8: duplicate tweet_id: 't2'" in stdout
-    for label in ("demo", "small"):
+    # only the two records tagged U+2C5F itself pass --hashtag U+2C5F; U+2C2F is not folded to it
+    cased = json.loads(reference["cased/manifest.json"])
+    assert cased["stage_counts"]["after_hashtag_filter"] == 2
+    prediction = json.loads(reference["cased/prediction.json"])
+    assert sorted(camp["camp_id"] for camp in prediction["camps"]) == ["Old", "X"]
+    for label in ("demo", "small", "cased"):
         names = {key.split("/", 1)[1] for key in reference if key.startswith(f"{label}/")}
         assert len(names) == 15 and sum(name.endswith(".svg") for name in names) == 5
