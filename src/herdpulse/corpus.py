@@ -32,7 +32,9 @@ REQUIRED_KEYS = (
 # loading aborts when more than this fraction of a file's non-empty lines is invalid
 MAX_INVALID_FRACTION = 0.5
 
-_decode_json = json.JSONDecoder().decode  # json.loads(str) without its per-call dispatch
+_scan_once = json.JSONDecoder().scan_once  # the C scanner JSONDecoder.decode wraps
+_JSON_SPACE = " \t\n\r"  # json's whitespace; str.strip() also strips e.g. "\x0c" and "\xa0"
+_REQUIRED = frozenset(REQUIRED_KEYS)
 # 3.13 names a trailing comma; 3.10-3.12 report the token they expected after it
 _OLDER_JSON_MESSAGES = {
     "Illegal trailing comma before end of object": "Expecting property name enclosed in double quotes",
@@ -108,6 +110,18 @@ def _parse_timestamp(value) -> datetime:
         raise ValueError(f"timestamp out of range: {value!r}") from None
 
 
+def _decode_json(line: str):
+    """``json.loads(line)`` for a str: what ``JSONDecoder.decode`` does, without its Python-level calls."""
+    start = len(line) - len(line.lstrip(_JSON_SPACE))
+    try:
+        obj, end = _scan_once(line, start)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    if line[end:].lstrip(_JSON_SPACE):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
 def _stored_tag(text: str) -> str | None:
     """``text`` as a tag is stored (leading '#'s stripped, A-Z lowercased), or None if no stored tag can equal it."""
     tag = text.lstrip("#")
@@ -115,18 +129,22 @@ def _stored_tag(text: str) -> str | None:
     return tag if tag and not _BAD_HASHTAG_CHAR.search(tag) else None
 
 
-def _parse_hashtags(value) -> tuple[str, ...]:
+def _parse_hashtags(value, stored: dict[str, str]) -> list[str]:
+    """The stored tags of ``value``; ``stored`` maps each valid raw tag seen so far to its stored tag."""
     if not isinstance(value, list):
         raise ValueError("hashtags must be an array of strings")
     tags = []
     for item in value:
         if not isinstance(item, str):
             raise ValueError("hashtags must be an array of strings")
-        tag = _stored_tag(item)
+        tag = stored.get(item)
         if tag is None:
-            raise ValueError(_NEVER_MATCHES.format(item))
+            tag = _stored_tag(item)
+            if tag is None:
+                raise ValueError(_NEVER_MATCHES.format(item))
+            stored[item] = tag
         tags.append(tag)
-    return tuple(tags)
+    return tags
 
 
 def _json_reason(err: ValueError | RecursionError, text: str) -> str:
@@ -141,17 +159,19 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
     return _OLDER_JSON_MESSAGES.get(err.msg, err.msg)
 
 
-def _parse_line(line: str) -> tuple[TweetRecord, int]:
-    """Validate one non-blank line; returns (record, unknown-key count)."""
+def _parse_line(line: str, stored_tags: dict[str, str]) -> tuple[tuple, int]:
+    """Validate one non-blank line; returns (the fields of its record, in
+    ``REQUIRED_KEYS`` order with lists for hashtags and mentions, unknown-key count)."""
     try:
         obj = _decode_json(line)
     except (ValueError, RecursionError) as err:
         raise ValueError(f"invalid JSON: {_json_reason(err, line)}") from None
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    for key in REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError(f"missing {key}")
+    if not obj.keys() >= _REQUIRED:
+        for key in REQUIRED_KEYS:
+            if key not in obj:
+                raise ValueError(f"missing {key}")
     unknown = len(obj) - len(REQUIRED_KEYS)
 
     tweet_id = obj["tweet_id"]
@@ -165,7 +185,7 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
         raise ValueError("text must be a string")
 
     timestamp = _parse_timestamp(obj["timestamp"])
-    hashtags = _parse_hashtags(obj["hashtags"])
+    hashtags = _parse_hashtags(obj["hashtags"], stored_tags)
 
     raw_mentions = obj["mentions"]
     if not isinstance(raw_mentions, list):
@@ -187,23 +207,21 @@ def _parse_line(line: str) -> tuple[TweetRecord, int]:
     if follower_count < 0:
         raise ValueError("follower_count must be >= 0")
 
-    record = TweetRecord(
-        tweet_id, author_id, text, timestamp, hashtags, tuple(mentions), retweet_of, follower_count
-    )
+    fields = (tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count)
     # a lone surrogate cannot be written back as UTF-8; raw lines are valid
     # UTF-8, so only a \u escape can make one
     if "\\u" in line:
-        for name, value in zip(REQUIRED_KEYS, record):
-            for item in value if isinstance(value, tuple) else (value,):
+        for name, value in zip(REQUIRED_KEYS, fields):
+            for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, str) and _SURROGATE.search(item):
                     raise ValueError(f"{name} contains a lone surrogate")
-    return record, unknown
+    return fields, unknown
 
 
-def _shared(record: TweetRecord, strings: dict[str, str]) -> TweetRecord:
-    """``record`` with its author, tags, mentions and retweet target taken from ``strings``, added when new."""
+def _shared(fields: tuple, strings: dict[str, str]) -> TweetRecord:
+    """The record of ``fields``, with its author, tags, mentions and retweet target from ``strings``, added when new."""
     one = strings.setdefault
-    tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count = record
+    tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count = fields
     hashtags = tuple([one(tag, tag) for tag in hashtags])
     mentions = tuple([one(mention, mention) for mention in mentions])
     retweet_of = None if retweet_of is None else one(retweet_of, retweet_of)
@@ -224,13 +242,15 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     tag that can never match, before any file is read; ``OSError`` if a file
     is unreadable; :class:`CorpusFormatError` when more than half of a file's
     non-empty lines are invalid (wrong-format guard). Equal ids and tags of
-    the kept records are one ``str`` object.
+    the kept records are one ``str`` object. Every line is validated in full;
+    a record is built only for a line that is kept.
     """
     wanted = None if hashtag is None else _stored_tag(hashtag)
     if hashtag is not None and wanted is None:
         raise ValueError(_NEVER_MATCHES.format(hashtag))
     records: list[TweetRecord] = []
     strings: dict[str, str] = {}  # one object per distinct id and tag of the kept records
+    stored_tags: dict[str, str] = {}  # raw tag -> stored tag, for every valid spelling read
     invalid: list[LineError] = []
     unknown_keys = 0
     last_file: dict[str, int] = {}  # tweet_id -> index of the last file that held it
@@ -248,22 +268,23 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                     non_empty += 1
                     invalid.append(LineError(line_no, "invalid UTF-8"))
                     continue
-                if not line.strip():
+                if not line or line.isspace():  # "" only on a line 1 that was a bare BOM
                     continue
                 non_empty += 1
                 try:
-                    record, unknown = _parse_line(line)
+                    fields, unknown = _parse_line(line, stored_tags)
                 except ValueError as err:
                     invalid.append(LineError(line_no, str(err)))
                     continue
-                held = last_file.get(record.tweet_id)
+                tweet_id = fields[0]
+                held = last_file.get(tweet_id)
                 if held == index:
-                    invalid.append(LineError(line_no, f"duplicate tweet_id: {record.tweet_id!r}"))
+                    invalid.append(LineError(line_no, f"duplicate tweet_id: {tweet_id!r}"))
                     continue
-                last_file[record.tweet_id] = index
+                last_file[tweet_id] = index
                 unknown_keys += unknown
-                if held is None and (wanted is None or wanted in record.hashtags):
-                    records.append(_shared(record, strings))
+                if held is None and (wanted is None or wanted in fields[4]):
+                    records.append(_shared(fields, strings))
 
         bad = len(invalid) - before
         if non_empty and bad / non_empty > MAX_INVALID_FRACTION:

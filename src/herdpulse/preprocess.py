@@ -3,7 +3,10 @@
 The pipeline is ``normalize``, a split on spaces and ``stem``, with stopwords
 dropped before and after stemming. It is fully rule-driven: the stopword list
 and the stemmer rule table are versioned data files, so the token output of a
-given text never changes between runs or machines.
+given text never changes between runs or machines. Letters are kept by a
+byte table rather than a regex: after ``str.lower`` every character outside
+ASCII is also outside a-z, so the lowered text is encoded to ASCII with "?"
+for the rest and translated byte by byte.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import NamedTuple
 _URL_RE = re.compile(r"https?\S*")
 _MENTION_RE = re.compile(r"@\S+")
 _NON_LETTER_RE = re.compile(r"[^a-z]+")
+# every byte but a-z becomes a space; after encode("ascii", "replace") a
+# non-ASCII character is a "?", so it becomes one too
+_LETTERS_ONLY = bytes.maketrans(bytes(range(256)), b" " * 97 + b"abcdefghijklmnopqrstuvwxyz" + b" " * 133)
 
 
 def _normalize_pass(text: str) -> str:
@@ -22,7 +28,7 @@ def _normalize_pass(text: str) -> str:
     out = _URL_RE.sub(" ", out)
     out = _MENTION_RE.sub(" ", out)
     out = out.replace("#", "")
-    out = _NON_LETTER_RE.sub(" ", out)
+    out = out.encode("ascii", "replace").translate(_LETTERS_ONLY).decode("ascii")
     return " ".join(out.split())
 
 
@@ -30,12 +36,15 @@ def normalize(text: str) -> str:
     """Lowercase and strip URLs, @-mentions, '#' signs and non-letters.
 
     Hashtag words survive with the '#' removed; every run of non-letter
-    characters becomes a single space. Iterates the cleaning pass to a fixed
-    point, which makes ``normalize(normalize(x)) == normalize(x)`` hold by
-    construction (a pass can expose a new URL-shaped substring, e.g.
-    "htt#p" collapses to "http" only after the '#' strip). A pass outputs
-    single-spaced ``[a-z]``, which a further pass changes only by removing
-    "http", so the loop repeats only while that is present.
+    characters becomes a single space. Letters are picked after lowercasing:
+    the text is encoded to ASCII with "?" for every other character, and each
+    byte but a-z is translated to a space, so U+212A (Kelvin sign) gives "k"
+    and U+00DF a space. Iterates the cleaning pass to a fixed point, which
+    makes ``normalize(normalize(x)) == normalize(x)`` hold by construction (a
+    pass can expose a new URL-shaped substring, e.g. "htt#p" collapses to
+    "http" only after the '#' strip). A pass outputs single-spaced ``[a-z]``,
+    which a further pass changes only by removing "http", so the loop repeats
+    only while that is present.
     """
     cleaned = _normalize_pass(text)
     while "http" in cleaned:

@@ -160,6 +160,31 @@ def test_leading_bom_is_stripped(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, kept",
+    [
+        (codecs.BOM_UTF8 + b"\n" + record_line().encode("utf-8") + b"\n", ["t1"]),
+        (codecs.BOM_UTF8, []),  # line 1 is "" once the BOM is gone, and "".isspace() is False
+        # JSON whitespace is " \t\n\r", so a CRLF line with spaces and tabs around the object is a record
+        ((" \t" + record_line() + " \r\n").encode("utf-8"), ["t1"]),
+    ],
+    ids=["bom_line", "bare_bom", "json_whitespace"],
+)
+def test_blank_and_padded_lines_are_not_errors(tmp_path, data, kept):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    result = load_corpora([path])
+    assert [r.tweet_id for r in result.records] == kept
+    assert result.invalid == []
+
+
+def test_bad_tag_is_an_error_on_every_line_that_holds_it(corpus_file):
+    lines = [record_line(tweet_id=f"t{i}", hashtags=tags) for i, tags in enumerate([["#X"], ["a b"], ["x"], ["a b"]])]
+    result = load_corpora([corpus_file(lines)])
+    assert [r.hashtags for r in result.records] == [("x",), ("x",)]
+    assert result.invalid == [LineError(2, "hashtag can never match: 'a b'"), LineError(4, "hashtag can never match: 'a b'")]
+
+
+@pytest.mark.parametrize(
     "line, reason",
     [
         (record_line(timestamp="0001-01-01T00:00:00+01:00"), "timestamp out of range: '0001-01-01T00:00:00+01:00'"),
@@ -178,10 +203,15 @@ def test_leading_bom_is_stripped(tmp_path):
         (record_line(hashtags=["west\u3000bengal"]), "hashtag can never match: 'west\\u3000bengal'"),
         (record_line(hashtags=["#a\x1c"]), "hashtag can never match: '#a\\x1c'"),
         (record_line(mentions=["a2", ""]), "mentions must be an array of non-empty strings"),
+        (record_line() + " " + record_line(), "invalid JSON: Extra data"),
+        ("\x0c" + record_line(), "invalid JSON: Expecting value"),
+        (record_line() + "\xa0", "invalid JSON: Extra data"),
+        ("]", "invalid JSON: Expecting value"),
     ],
     ids=["year_1", "year_9999", "nesting", "long_int", "later_bom", "trailing_comma_object", "trailing_comma_array"]
     + [f"surrogate_{key}" for key in ("tweet_id", "author_id", "text", "hashtags", "mentions", "retweet_of")]
-    + ["ideographic_space_tag", "separator_control_tag", "empty_mention"],
+    + ["ideographic_space_tag", "separator_control_tag", "empty_mention"]
+    + ["two_records", "form_feed_before", "nbsp_after", "close_bracket"],
 )
 def test_hostile_line_is_a_line_error(tmp_path, line, reason):
     path = tmp_path / "corpus.jsonl"
@@ -507,9 +537,12 @@ RECORDS = st.fixed_dictionaries({
 })
 BROKEN_KEYS = rarely(st.just([]), st.lists(st.sampled_from(REQUIRED_KEYS), min_size=1, max_size=2))
 UNKNOWN_KEYS = st.dictionaries(st.sampled_from(["lang", "source", "\ud800"]), ODD_STRINGS, max_size=2)
-# "\ufeff" stands for a BOM in front of the record; the rest replace it
+# "\ufeff" stands for a BOM in front of the record; the rest replace it. Only
+# " \t\n\r" is JSON whitespace: "\x0c" and "\xa0" around a record make it invalid
+ODD = record_line(tweet_id="odd")
 ODD_LINES = st.sampled_from(
-    ["\ufeff", "", "   ", "null", "[1]", '"str"', "{broken", "[" * 5000, '{"a": 1' + "0" * 5000 + "}"]
+    ["\ufeff", "", "   ", "null", "[1]", '"str"', "{broken", "[" * 5000, '{"a": 1' + "0" * 5000 + "}", "]", "{} {}"]
+    + [" \t" + ODD + " \r", "\x0c" + ODD, ODD + "\xa0", ODD + " " + ODD]
 )
 
 

@@ -58,7 +58,8 @@ def _interpreter(version: str) -> str | None:
 
 
 def _small_corpus(path: Path) -> None:
-    """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub and tags whose lowercase moved."""
+    """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub, tags whose lowercase moved,
+    a CRLF line, a tab before a record and two values on one line."""
     def line(i, author, text, hashtags=(), mentions=(), retweet_of=None):
         obj = {
             "tweet_id": f"t{i}", "author_id": author, "text": text,
@@ -81,6 +82,9 @@ def _small_corpus(path: Path) -> None:
         line(7, "u7", "old letters", list(CASE_SHIFTED), ["hub"]),
         line(8, "u8", "the new lowercase", ["\u2c5f", "\ua7c0"], ["hub", "u7"]),
         line(10, "u1", "partyx all the way", ["#\u2c5f", "\ua7c1"], ["u8"]),
+        line(11, "u2", "a windows line ending", ["rally"], ["hub"]) + "\r",
+        "\t" + line(12, "u3", "indented by a tab", ["votey"], ["u2"]),
+        "{} {}",
     ]
     path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
 
@@ -167,6 +171,7 @@ def test_reference_runs_cover_every_output(reference):
     assert ":4: invalid JSON: Expecting property name enclosed in double quotes" in stdout
     assert ":7: invalid JSON: Expecting value" in stdout
     assert ":8: duplicate tweet_id: 't2'" in stdout
+    assert ":16: invalid JSON: Extra data" in stdout
     # only the two records tagged U+2C5F itself pass --hashtag U+2C5F; U+2C2F is not folded to it
     cased = json.loads(reference["cased/manifest.json"])
     assert cased["stage_counts"]["after_hashtag_filter"] == 2

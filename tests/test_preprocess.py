@@ -208,6 +208,10 @@ def test_stem_caches_are_per_instance():
 @example("htt#p xx")
 @example("HT#TPS://x #h#t#t#p5")
 @example("@user:x #ok")  # a mention runs to the next whitespace, not to the first non-word char
+@example("\u0130stanbul \u212aelvin")  # lower() gives ASCII "i" (plus U+0307) and "k"
+@example("\u00df \ufb03 \u039f\u0394\u039f\u03a3")  # lowercase stays outside ASCII
+@example("a\ud800b")  # a lone surrogate is replaced when encoded to ASCII
+@example("x\x85y\u3000z")  # separators outside ASCII
 def test_normalize_matches_fixed_point_oracle(text):
     assert normalize(text) == reference_normalize(text)
 
