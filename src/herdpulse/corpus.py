@@ -129,20 +129,16 @@ def _stored_tag(text: str) -> str | None:
     return tag if tag and not _BAD_HASHTAG_CHAR.search(tag) else None
 
 
-def _parse_hashtags(value, stored: dict[str, str]) -> list[str]:
-    """The stored tags of ``value``; ``stored`` maps each valid raw tag seen so far to its stored tag."""
+def _parse_hashtags(value) -> list[str]:
     if not isinstance(value, list):
         raise ValueError("hashtags must be an array of strings")
     tags = []
     for item in value:
         if not isinstance(item, str):
             raise ValueError("hashtags must be an array of strings")
-        tag = stored.get(item)
+        tag = _stored_tag(item)
         if tag is None:
-            tag = _stored_tag(item)
-            if tag is None:
-                raise ValueError(_NEVER_MATCHES.format(item))
-            stored[item] = tag
+            raise ValueError(_NEVER_MATCHES.format(item))
         tags.append(tag)
     return tags
 
@@ -159,9 +155,10 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
     return _OLDER_JSON_MESSAGES.get(err.msg, err.msg)
 
 
-def _parse_line(line: str, stored_tags: dict[str, str]) -> tuple[tuple, int]:
-    """Validate one non-blank line; returns (the fields of its record, in
-    ``REQUIRED_KEYS`` order with lists for hashtags and mentions, unknown-key count)."""
+def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
+    """Validate one non-blank line; returns (its tweet_id, its stored tags, the
+    fields of its record in ``REQUIRED_KEYS`` order with lists for hashtags and
+    mentions, unknown-key count)."""
     try:
         obj = _decode_json(line)
     except (ValueError, RecursionError) as err:
@@ -185,7 +182,7 @@ def _parse_line(line: str, stored_tags: dict[str, str]) -> tuple[tuple, int]:
         raise ValueError("text must be a string")
 
     timestamp = _parse_timestamp(obj["timestamp"])
-    hashtags = _parse_hashtags(obj["hashtags"], stored_tags)
+    hashtags = _parse_hashtags(obj["hashtags"])
 
     raw_mentions = obj["mentions"]
     if not isinstance(raw_mentions, list):
@@ -207,6 +204,7 @@ def _parse_line(line: str, stored_tags: dict[str, str]) -> tuple[tuple, int]:
     if follower_count < 0:
         raise ValueError("follower_count must be >= 0")
 
+    # REQUIRED_KEYS order: the surrogate check zips the two, and _shared unpacks it
     fields = (tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count)
     # a lone surrogate cannot be written back as UTF-8; raw lines are valid
     # UTF-8, so only a \u escape can make one
@@ -215,7 +213,7 @@ def _parse_line(line: str, stored_tags: dict[str, str]) -> tuple[tuple, int]:
             for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, str) and _SURROGATE.search(item):
                     raise ValueError(f"{name} contains a lone surrogate")
-    return fields, unknown
+    return tweet_id, hashtags, fields, unknown
 
 
 def _shared(fields: tuple, strings: dict[str, str]) -> TweetRecord:
@@ -250,7 +248,6 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
         raise ValueError(_NEVER_MATCHES.format(hashtag))
     records: list[TweetRecord] = []
     strings: dict[str, str] = {}  # one object per distinct id and tag of the kept records
-    stored_tags: dict[str, str] = {}  # raw tag -> stored tag, for every valid spelling read
     invalid: list[LineError] = []
     unknown_keys = 0
     last_file: dict[str, int] = {}  # tweet_id -> index of the last file that held it
@@ -272,18 +269,17 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                     continue
                 non_empty += 1
                 try:
-                    fields, unknown = _parse_line(line, stored_tags)
+                    tweet_id, hashtags, fields, unknown = _parse_line(line)
                 except ValueError as err:
                     invalid.append(LineError(line_no, str(err)))
                     continue
-                tweet_id = fields[0]
                 held = last_file.get(tweet_id)
                 if held == index:
                     invalid.append(LineError(line_no, f"duplicate tweet_id: {tweet_id!r}"))
                     continue
                 last_file[tweet_id] = index
                 unknown_keys += unknown
-                if held is None and (wanted is None or wanted in fields[4]):
+                if held is None and (wanted is None or wanted in hashtags):
                     records.append(_shared(fields, strings))
 
         bad = len(invalid) - before
