@@ -10,6 +10,7 @@ Recognized keys (all optional unless noted):
   stemmer_rules_path  stemmer rule table (default: packaged table)
   negation_words_path negation word file (default: packaged list)
   lexicon_path        sentiment lexicon (default: packaged demo lexicon)
+                      whose every term must be able to equal a token
   reference_shares    object camp_id -> externally published vote share,
                       echoed into the prediction report for comparison only
 
@@ -25,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 from .corpus import _NEVER_MATCHES, _SURROGATE, _json_reason, _stored_tag
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
-from .preprocess import StemmerRules, StemRule
+from .preprocess import StemmerRules, StemRule, can_match
 from .sentiment import Lexicon
 
 
@@ -213,6 +214,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     for key, (field, loader, packaged) in _DATA_FILES.items():
         file = _resolve(base, key, raw[key]) if key in raw else default_data_path(packaged)
         config[field] = loader(file)
+    for term in config["lexicon"]:
+        if not can_match(term, config["stopwords"], config["stemmer_rules"]):
+            raise ConfigError(f"{file}: term can never match: {term!r}")  # the lexicon is read last
 
     if "reference_shares" in raw and raw["reference_shares"] is not None:
         shares = raw["reference_shares"]

@@ -30,7 +30,7 @@ from .herd import (
     predict,
     profile_authors,
 )
-from .preprocess import preprocess
+from .preprocess import preprocess_texts
 from .sentiment import CorpusSummary, SentimentScore, score_tokens, summarize
 
 PIPELINE_VERSION = f"herdpulse {__version__}"
@@ -60,7 +60,7 @@ class AnalysisResult(NamedTuple):
 
 def score_corpus(records: tuple[TweetRecord, ...], config: RunConfig):
     """Preprocess and score every record; returns (tokens per record, scores, summary)."""
-    tokens = [preprocess(r.text, config.stopwords, config.stemmer_rules) for r in records]
+    tokens = preprocess_texts([r.text for r in records], config.stopwords, config.stemmer_rules)
     scores = [
         score_tokens(r.tweet_id, own, config.lexicon, config.negation_words) for r, own in zip(records, tokens)
     ]

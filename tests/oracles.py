@@ -5,7 +5,8 @@ library's counting helpers, so they stay a genuinely independent check; the
 module imports nothing from ``herdpulse``. Graphs are edge lists, read here
 as a plain ``node -> neighbors`` dict that :func:`adjacency` builds. The text
 references are the plain loops the library's stemmer and ``normalize``
-shortcut: no memo, no suffix pre-check, no regex, no early stop. The ingestion
+shortcut: no memo, no suffix grouping, no regex, no early stop, and one text
+at a time where the library cleans texts in batches. The ingestion
 reference restates the per-line rules with ``json.loads`` and plain field
 checks, reads timestamps by hand instead of with ``fromisoformat``, loads
 several files the old way (each file whole, then merge, then filter), and
@@ -150,6 +151,18 @@ def reference_normalize(text: str) -> str:
         if cleaned == text:
             return cleaned
         text = cleaned
+
+
+def reference_tokens(text: str, stopwords, table: list[tuple[str, str, int]]) -> tuple[str, ...]:
+    """The tokens of one text on its own: each word of its normalized form that
+    is no stopword, stemmed, kept when the stem is non-empty and no stopword."""
+    tokens = []
+    for word in reference_normalize(text).split(" "):
+        if word and word not in stopwords:
+            stem = reference_stem(word, table)
+            if stem and stem not in stopwords:
+                tokens.append(stem)
+    return tuple(tokens)
 
 
 CORPUS_KEYS = (

@@ -190,6 +190,30 @@ def test_analyze_data_file_not_utf8_names_the_file(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"error: {tmp_path / 'data.txt'}: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "term, stopwords",
+    [
+        ("winning", None),  # stems to "win"
+        ("Good", None),  # tokens are lowercase
+        ("caf\u00e9", None),  # tokens are a-z only
+        ("the", None),  # a shipped stopword
+        ("good", "good\n"),  # a stopword of the configured list
+    ],
+)
+def test_analyze_lexicon_term_that_can_never_match_is_config_failure(tmp_path, capsys, term, stopwords):
+    (tmp_path / "lex.tsv").write_text(f"bad\t-0.5\t0.5\n{term}\t0.5\t0.5\n", encoding="utf-8")
+    raw = {"lexicon_path": "lex.tsv"}
+    if stopwords is not None:
+        (tmp_path / "stop.txt").write_text(stopwords, encoding="utf-8")
+        raw["stopwords_path"] = "stop.txt"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'lex.tsv'}: term can never match: {term!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_cyclic_stemmer_table_is_config_failure(tmp_path, capsys):
     (tmp_path / "rules.tsv").write_text("b\ta\t0\na\tb\t0\n", encoding="utf-8")
     config = tmp_path / "config.json"

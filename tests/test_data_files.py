@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from herdpulse import load_config
 
 DEFAULTS = load_config()
@@ -15,7 +17,8 @@ def test_lexicon_terms_are_stemmer_fixed_points():
 
 
 def test_lexicon_terms_lowercase_letters_only():
-    assert all(t.isalpha() and t == t.lower() for t in DEFAULTS.lexicon)
+    # tokens are [a-z]+; str.isalpha() would also pass letters outside ASCII
+    assert all(re.fullmatch("[a-z]+", t) for t in DEFAULTS.lexicon)
 
 
 def test_negation_words_survive_stopword_removal():

@@ -59,7 +59,8 @@ def _interpreter(version: str) -> str | None:
 
 def _small_corpus(path: Path) -> None:
     """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub, tags whose lowercase moved,
-    a CRLF line, a tab before a record and two values on one line."""
+    a CRLF line, a tab before a record, two values on one line, and a text holding an LF and a CR
+    (JSON escapes) and an "htt#p" that only a second cleaning pass removes."""
     def line(i, author, text, hashtags=(), mentions=(), retweet_of=None):
         obj = {
             "tweet_id": f"t{i}", "author_id": author, "text": text,
@@ -85,6 +86,7 @@ def _small_corpus(path: Path) -> None:
         line(11, "u2", "a windows line ending", ["rally"], ["hub"]) + "\r",
         "\t" + line(12, "u3", "indented by a tab", ["votey"], ["u2"]),
         "{} {}",
+        line(13, "u4", "good start\nbad end\rnot great htt#p://x.y win", ["rally"], ["hub", "u1"]),
     ]
     path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import copy
 import importlib
+import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from herdpulse import load_config, preprocess
+from herdpulse import analyze_corpus, load_config, load_corpora, preprocess
 from herdpulse.config import load_stemmer_rules, load_wordlist
-from herdpulse.preprocess import StemmerRules, StemRule, normalize
+from herdpulse.preprocess import StemmerRules, StemRule, can_match, normalize, preprocess_texts
 
-from .oracles import reference_normalize, reference_stem
+from .oracles import reference_normalize, reference_stem, reference_tokens
 
 DEFAULTS = load_config()
 RULES = DEFAULTS.stemmer_rules
@@ -180,7 +184,7 @@ def small_tables(draw):
 
 @given(st.lists(suffix_shaped("abcdegilnprsty", [row[0] for row in SHIPPED_TABLE]), max_size=10))
 def test_stem_matches_oracle_on_shipped_table(tokens):
-    for token in tokens + tokens:  # the second round is answered from the cache
+    for token in tokens + tokens:  # the second round must give the same stems
         assert RULES.stem(token) == reference_stem(token, SHIPPED_TABLE)
 
 
@@ -194,6 +198,16 @@ def test_stem_matches_oracle_on_random_tables(first, second, data):
     for token in tokens + tokens:
         for stemmer, table in zip(stemmers, tables):
             assert stemmer.stem(token) == reference_stem(token, table)
+
+
+@given(small_tables(), st.data())
+def test_can_match_is_one_pass_fixed_point_on_random_tables(table, data):
+    rules = StemmerRules([StemRule(*row) for row in table])
+    term = data.draw(suffix_shaped("abs", [row[0] for row in table]))
+    expected = bool(term) and reference_stem(term, table) == term
+    assert can_match(term, frozenset(), rules) == expected
+    assert not can_match(term, {term}, rules)
+    assert not can_match(term + "A", frozenset(), rules)
 
 
 def test_stem_caches_are_per_instance():
@@ -217,12 +231,50 @@ def test_normalize_matches_fixed_point_oracle(text):
 
 
 def test_stem_rule_scan_runs_once_per_distinct_token():
-    rules = load_config().stemmer_rules  # a fresh instance, so an empty cache
+    rules = load_config().stemmer_rules
     scanned = []
     apply_once = rules._apply_once
     rules._apply_once = lambda token: scanned.append(token) or apply_once(token)
-    assert {preprocess("Winning", STOPWORDS, rules) for _ in range(1000)} == {("win",)}
-    assert scanned == ["winning", "win"]  # the first stem's two passes, then cache hits
+    assert preprocess_texts(["Winning"] * 1000, STOPWORDS, rules) == [("win",)] * 1000
+    assert scanned == ["winning", "win"]  # the first stem's two passes, then table hits
+    scanned.clear()
+    assert preprocess_texts(["Winning"], STOPWORDS, rules) == [("win",)]
+    assert scanned == ["winning", "win"]  # the table lives for one call, so a new call stems again
+
+
+def test_analyze_leaves_the_config_as_it_found_it():
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data"
+    config = load_config(demo / "demo_config.json")
+    before = copy.deepcopy(vars(config.stemmer_rules))
+    analyze_corpus(load_corpora([demo / "demo_tweets.jsonl"]), config)
+    assert vars(config.stemmer_rules) == before  # no stem memo outlives the run
+
+
+# words the stemmer and the stopword list act on, and the characters a batch join could get wrong
+TEXT_PIECES = [
+    "Winning", "ELECTIONS", "the", "AMS", "classes", "vote", "partyx", " ", "  ", "\n", "\r\n", "\x0b",
+    "\u2028", "\x85", "htt#p", "htt#p://x", "http", "https://t.co/a", "@", "@user", "#", "#Tag", "5",
+    "\u212aelvin", "\u0130stanbul", "\u00df",
+]
+texts_of_pieces = st.lists(st.sampled_from(TEXT_PIECES) | st.text(max_size=3), max_size=8).map("".join)
+
+
+@given(st.lists(texts_of_pieces, max_size=12), st.sampled_from([1, 2, 3, PREPROCESS_MODULE._BATCH]))
+@example(["a @", "#", "b htt"], 1024)  # "@" and "#" end a text; "htt" must not meet the next text's "p"
+@example(["x htt", "p://y z"], 2)
+def test_preprocess_texts_matches_one_text_at_a_time_oracle(texts, batch):
+    with mock.patch.object(PREPROCESS_MODULE, "_BATCH", batch):
+        tokens = preprocess_texts(texts, STOPWORDS, RULES)
+    assert tokens == [reference_tokens(text, STOPWORDS, SHIPPED_TABLE) for text in texts]
+
+
+def test_preprocess_texts_across_batch_boundaries():
+    rng = random.Random(20)
+    texts = ["".join(rng.choices(TEXT_PIECES, k=rng.randrange(6))) for _ in range(2500)]
+    assert 2500 > 2 * PREPROCESS_MODULE._BATCH  # two batch boundaries are crossed
+    assert preprocess_texts(texts, STOPWORDS, RULES) == [
+        reference_tokens(text, STOPWORDS, SHIPPED_TABLE) for text in texts
+    ]
 
 
 def test_normalize_passes_only_while_http_remains(monkeypatch):
