@@ -116,28 +116,36 @@ def cmd_analyze(args) -> int:
 
 
 def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of finite numbers; raises ValueError as ``path:line: reason``.
+    """Header and columns of finite numbers; raises ValueError as ``path:line: reason``.
 
     The file is read as every other input is: UTF-8, a leading BOM ignored.
-    Rows are converted and checked in bulk, which keeps the check off the
-    per-row path of a large series; only a failing file is scanned row by row
-    to name its first bad line.
+    Rows are transposed and each column converted and checked in bulk. A file
+    that fails is read again row by row to name a line: the first where a
+    cell cannot be read or converted, else the first row of the wrong width
+    or with a number that is not finite.
     """
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    text = _read_text(path)
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if rows and rows[0] and set(map(len, rows)) == {len(rows[0])}:
+            # each column starts with its header cell
+            columns = [list(map(float, column[1:])) for column in zip(*rows)]
+            if all(map(math.isfinite, chain.from_iterable(columns))):
+                return rows[0], columns
+    except (ValueError, csv.Error):  # csv.Error: a cell past csv's field size limit
+        pass
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         rows = [[float(cell) for cell in row] for row in reader] if header else []
-    except (ValueError, csv.Error) as err:  # csv.Error: a cell past csv's field size limit
+    except (ValueError, csv.Error) as err:
         raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     if not header:
         raise ValueError(f"{path}:1: no header")
-    width = len(header)
-    if set(map(len, rows)) - {width} or not all(map(math.isfinite, chain.from_iterable(rows))):
-        number, row = next(
-            (n, row) for n, row in enumerate(rows, 2) if len(row) != width or not all(map(math.isfinite, row))
-        )
-        raise ValueError(f"{path}:{number}: expected {width} finite numbers, got {row}")
-    return header, rows
+    number, row = next(
+        (n, row) for n, row in enumerate(rows, 2) if len(row) != len(header) or not all(map(math.isfinite, row))
+    )
+    raise ValueError(f"{path}:{number}: expected {len(header)} finite numbers, got {row}")
 
 
 def cmd_plot(args) -> int:
@@ -156,16 +164,12 @@ def cmd_plot(args) -> int:
             status = EXIT_DATA
             continue
         try:
-            header, rows = _read_series_csv(source)
+            header, columns = _read_series_csv(source)
         except ValueError as err:
             _fail(str(err))
             status = EXIT_DATA
             continue
-        series = []
-        for column in range(1, len(header)):
-            points = [(row[0], row[column]) for row in rows]
-            series.append((header[column], points))
-        svg = render_scatter(series, title, x_label, y_label)
+        svg = render_scatter(list(zip(header[1:], columns[1:])), columns[0], title, x_label, y_label)
         target = out / (name[: -len(".csv")] + ".svg")
         target.write_text(svg, encoding="utf-8")
         print(f"wrote {target}")

@@ -10,7 +10,8 @@ Recognized keys (all optional unless noted):
   stemmer_rules_path  stemmer rule table (default: packaged table)
   negation_words_path negation word file (default: packaged list)
   lexicon_path        sentiment lexicon (default: packaged demo lexicon)
-                      whose every term must be able to equal a token
+                      whose every term must be able to equal a token and
+                      must not be a negation word
   reference_shares    object camp_id -> externally published vote share,
                       echoed into the prediction report for comparison only
 
@@ -26,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 from .corpus import _NEVER_MATCHES, _SURROGATE, _json_reason, _stored_tag
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
-from .preprocess import StemmerRules, StemRule, can_match
+from .preprocess import StemmerRules, StemRule, preprocess_texts
 from .sentiment import Lexicon
 
 
@@ -211,12 +212,22 @@ def load_config(path: str | Path | None = None) -> RunConfig:
                     raise ConfigError(f"camp {camp_id!r}: " + _NEVER_MATCHES.format(word))
         config["camps"] = {camp_id: frozenset(keywords) for camp_id, keywords in camps_raw.items()}
 
+    files = {}
     for key, (field, loader, packaged) in _DATA_FILES.items():
-        file = _resolve(base, key, raw[key]) if key in raw else default_data_path(packaged)
-        config[field] = loader(file)
-    for term in config["lexicon"]:
-        if not can_match(term, config["stopwords"], config["stemmer_rules"]):
-            raise ConfigError(f"{file}: term can never match: {term!r}")  # the lexicon is read last
+        files[field] = _resolve(base, key, raw[key]) if key in raw else default_data_path(packaged)
+        config[field] = loader(files[field])
+    # a negation word or lexicon term is valid only if, preprocessed alone, it comes back as the one
+    # token (word,); a term that is also a negation word would both score and flip the next hit
+    negations, lexicon = sorted(config["negation_words"]), list(config["lexicon"])
+    tokens = preprocess_texts(negations + lexicon, config["stopwords"], config["stemmer_rules"])
+    for word, kept in zip(negations, tokens):
+        if kept != (word,):
+            raise ConfigError(f"{files['negation_words']}: negation word can never match: {word!r}")
+    for term, kept in zip(lexicon, tokens[len(negations) :]):
+        if kept != (term,):
+            raise ConfigError(f"{files['lexicon']}: term can never match: {term!r}")
+        if term in config["negation_words"]:
+            raise ConfigError(f"{files['lexicon']}: term is also a negation word: {term!r}")
 
     if "reference_shares" in raw and raw["reference_shares"] is not None:
         shares = raw["reference_shares"]

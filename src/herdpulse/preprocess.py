@@ -129,14 +129,6 @@ class StemmerRules:
         return token
 
 
-def can_match(term: str, stoplist: frozenset[str] | set[str], rules: StemmerRules) -> bool:
-    """False when no token can equal ``term``: it is not ``[a-z]+``, is a stopword, or is not its own stem.
-
-    Stemming runs to a fixed point, so a term is its own stem when one pass leaves it as it is.
-    """
-    return bool(term) and not _NON_LETTER_RE.search(term) and term not in stoplist and rules._apply_once(term) == term
-
-
 class _StemTable(dict):
     """Token -> its stem, or "" when the token or its stem is a stopword; filled as tokens first appear."""
 

@@ -9,7 +9,7 @@ output.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from itertools import chain
 
 WIDTH = 640.0
 HEIGHT = 480.0
@@ -27,12 +27,14 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _axis(values: list[float], start: float, length: float) -> tuple[float, float, Callable[[float], float]]:
-    """``(low, high, place)``: an axis range covering the data and the map from a value to its coordinate.
+def _axis(values: list[float], start: float, length: float) -> tuple[float, float, dict[float, str]]:
+    """``(low, high, text)``: an axis range covering the data, and each distinct value's coordinate as text.
 
     Empty data maps to [0, 1]; a constant column widens by 0.5 each way, or by one float step
-    towards 0 where 0.5 rounds away. Where ``high - low`` overflows, ``place`` works on halved
-    values: halving is exact for normal floats and keeps every difference finite.
+    towards 0 where 0.5 rounds away. Where ``high - low`` overflows, values are placed halved:
+    halving is exact for normal floats and keeps every difference finite. Each distinct value
+    is placed and formatted once; 0.0 and -0.0 share a key, which is exact, because ``start``
+    is never 0 and both zeros place at ``start`` plus a zero.
     """
     low, high = (min(values), max(values)) if values else (0.0, 1.0)
     if low == high:
@@ -41,27 +43,30 @@ def _axis(values: list[float], start: float, length: float) -> tuple[float, floa
         low, high = sorted((low, math.nextafter(low, 0.0)))
     unit = 1.0 if math.isfinite(high - low) else 0.5
     offset, span = low * unit, high * unit - low * unit
-    return low, high, lambda value: start + (value * unit - offset) / span * length
+    return low, high, {value: f"{start + (value * unit - offset) / span * length:.2f}" for value in set(values)}
 
 
 def render_scatter(
-    series: list[tuple[str, list[tuple[float, float]]]],
+    series: list[tuple[str, list[float]]],
+    x: list[float],
     title: str,
     x_label: str,
     y_label: str,
 ) -> str:
     """SVG document with axes, labels and one circle per data point.
 
+    ``series`` holds ``(label, y values)`` pairs that share the x values ``x``.
     An entirely empty series list still renders axes over a [0, 1] x [0, 1]
     frame, so "no data" plots are valid documents.
     """
     title = _escape(title)
     x_label = _escape(x_label)
     y_label = _escape(y_label)
-    all_x = [x for _, points in series for x, _ in points]
-    all_y = [y for _, points in series for _, y in points]
-    x_min, x_max, px = _axis(all_x, MARGIN, WIDTH - 2 * MARGIN)
-    y_min, y_max, py = _axis(all_y, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
+    x = x if series else []  # no series, no point: the x range is empty
+    all_y = list(chain.from_iterable(values for _, values in series))
+    x_min, x_max, x_text = _axis(x, MARGIN, WIDTH - 2 * MARGIN)
+    y_min, y_max, y_text = _axis(all_y, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
+    cx = list(map(x_text.__getitem__, x))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -91,13 +96,10 @@ def render_scatter(
         f'transform="rotate(-90 18.00 {_fmt(HEIGHT / 2)})">{y_label}</text>',
     ]
 
-    for index, (label, points) in enumerate(series):
+    for index, (label, values) in enumerate(series):
         color = SERIES_COLORS[index % len(SERIES_COLORS)]
-        for x, y in points:
-            out.append(
-                f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3.00" '
-                f'fill="{color}" fill-opacity="0.75"/>'
-            )
+        tail = f' r="3.00" fill="{color}" fill-opacity="0.75"/>'
+        out += [f'<circle cx="{x_at}" cy="{y_text[y]}"{tail}' for x_at, y in zip(cx, values)]
         if len(series) > 1:
             out.append(
                 f'<text x="{_fmt(WIDTH - MARGIN)}" y="{_fmt(MARGIN + 16 * index)}" '

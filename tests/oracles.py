@@ -11,12 +11,15 @@ reference restates the per-line rules with ``json.loads`` and plain field
 checks, reads timestamps by hand instead of with ``fromisoformat``, loads
 several files the old way (each file whole, then merge, then filter), and
 shares no helper with ``herdpulse.corpus``. The herd references test each
-band edge by hand and rank camps by counting the camps ahead of each.
+band edge by hand and rank camps by counting the camps ahead of each. The
+plot reference places and formats every point on its own, from
+``(x, y)`` pairs per series.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -436,3 +439,73 @@ def reference_predict(tweets: list[tuple[str | None, str]]) -> dict | None:
         "undecided": undecided,
         "degenerate": len(camps) < 2,
     }
+
+
+def _reference_axis(values: list[float], start: float, length: float):
+    """``(low, high, place)`` of one plot axis: empty data maps to [0, 1], a constant column widens by
+    0.5 each way or else by one float step towards 0, and an overflowing width is placed on halved values."""
+    low, high = (min(values), max(values)) if values else (0.0, 1.0)
+    if low == high:
+        low, high = low - 0.5, high + 0.5
+    if low == high:
+        low, high = sorted((low, math.nextafter(low, 0.0)))
+    unit = 1.0 if math.isfinite(high - low) else 0.5
+    return low, high, lambda value: start + (value * unit - low * unit) / (high * unit - low * unit) * length
+
+
+def reference_svg(
+    series_points: list[tuple[str, list[tuple[float, float]]]], title: str, x_label: str, y_label: str
+) -> str:
+    """The scatter SVG point by point: each point of each ``(label, [(x, y), ...])`` series is placed
+    and formatted on its own, and the x range covers the x of every point of every series."""
+    def fmt(value: float) -> str:
+        return f"{value:.2f}"
+
+    def escape(text: str) -> str:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+    width, height, margin = 640.0, 480.0, 60.0
+    colors = ("#1f6fb2", "#d1495b", "#3e8e41", "#8e5ba6")
+    x_min, x_max, px = _reference_axis(
+        [x for _, points in series_points for x, _ in points], margin, width - 2 * margin
+    )
+    y_min, y_max, py = _reference_axis(
+        [y for _, points in series_points for _, y in points], height - margin, -(height - 2 * margin)
+    )
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">',
+        f'<rect x="0" y="0" width="{fmt(width)}" height="{fmt(height)}" fill="#ffffff"/>',
+        f'<text x="{fmt(width / 2)}" y="30.00" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'<line x1="{fmt(margin)}" y1="{fmt(height - margin)}" '
+        f'x2="{fmt(width - margin)}" y2="{fmt(height - margin)}" stroke="#000000"/>',
+        f'<line x1="{fmt(margin)}" y1="{fmt(margin)}" '
+        f'x2="{fmt(margin)}" y2="{fmt(height - margin)}" stroke="#000000"/>',
+        f'<text x="{fmt(margin)}" y="{fmt(height - margin + 20)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11">{fmt(x_min)}</text>',
+        f'<text x="{fmt(width - margin)}" y="{fmt(height - margin + 20)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="11">{fmt(x_max)}</text>',
+        f'<text x="{fmt(margin - 8)}" y="{fmt(height - margin)}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11">{fmt(y_min)}</text>',
+        f'<text x="{fmt(margin - 8)}" y="{fmt(margin + 4)}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11">{fmt(y_max)}</text>',
+        f'<text x="{fmt(width / 2)}" y="{fmt(height - 15)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>',
+        f'<text x="18.00" y="{fmt(height / 2)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18.00 {fmt(height / 2)})">{escape(y_label)}</text>',
+    ]
+    for index, (label, points) in enumerate(series_points):
+        color = colors[index % len(colors)]
+        for x, y in points:
+            out.append(f'<circle cx="{fmt(px(x))}" cy="{fmt(py(y))}" r="3.00" fill="{color}" fill-opacity="0.75"/>')
+        if len(series_points) > 1:
+            out.append(
+                f'<text x="{fmt(width - margin)}" y="{fmt(margin + 16 * index)}" '
+                f'text-anchor="end" font-family="sans-serif" font-size="12" '
+                f'fill="{color}">{escape(label)}</text>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from herdpulse import pipeline
-from herdpulse.cli import main
+from herdpulse.cli import PLOT_SERIES, main
 from herdpulse.herd import AuthorProfile, BandStat, CampResult, HerdReport, PredictionReport
 
 from .conftest import record_line
+from .oracles import reference_svg
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CORPUS = str(REPO / "demos" / "data" / "demo_tweets.jsonl")
@@ -198,6 +199,7 @@ def test_analyze_data_file_not_utf8_names_the_file(tmp_path, capsys, key):
         ("caf\u00e9", None),  # tokens are a-z only
         ("the", None),  # a shipped stopword
         ("good", "good\n"),  # a stopword of the configured list
+        ("xhttp", None),  # normalize cuts every run from "http" on
     ],
 )
 def test_analyze_lexicon_term_that_can_never_match_is_config_failure(tmp_path, capsys, term, stopwords):
@@ -211,6 +213,34 @@ def test_analyze_lexicon_term_that_can_never_match_is_config_failure(tmp_path, c
     code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'lex.tsv'}: term can never match: {term!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_lexicon_term_that_is_a_negation_word_is_config_failure(tmp_path, capsys):
+    # it would score as a hit and also flip the next one
+    (tmp_path / "lex.tsv").write_text("good\t0.5\t0.5\nnot\t-0.5\t0.5\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lexicon_path": "lex.tsv"}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'lex.tsv'}: term is also a negation word: 'not'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "the",  # a shipped stopword never reaches the scorer
+        "nots",  # the shipped rules stem it to "not"
+    ],
+)
+def test_analyze_negation_word_that_can_never_match_is_config_failure(tmp_path, capsys, word):
+    (tmp_path / "neg.txt").write_text(f"not\n{word}\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"negation_words_path": "neg.txt"}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'neg.txt'}: negation word can never match: {word!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -574,6 +604,13 @@ BAD_SERIES = {
     "blank_line": (b"index,polarity\n0,0.5\n\n1,0.2\n", "3: expected 2 finite numbers, got []"),
     "not_utf8": (b"index,polarity\n0,\xff\n", " not valid UTF-8"),
     "field_too_large": (b"index,polarity\n0,0.5\n1," + b"5" * 131_073 + b"\n", "3: field larger than field limit (131072)"),
+    # read row by row, a bad cell anywhere names its line before any row of the wrong width
+    "short_row_then_text": (b"index,polarity\n0,0.5\n1\n2,abc\n", "4: could not convert string to float: 'abc'"),
+    "text_then_field_too_large": (
+        b"index,polarity\n0,abc\n1,0.5\n2," + b"5" * 131_073 + b"\n",
+        "2: could not convert string to float: 'abc'",
+    ),
+    "nan_in_middle": (b"index,a,b\n0,0.5,0.1\n1,nan,0.2\n", "3: expected 3 finite numbers, got [1.0, nan, 0.2]"),
 }
 
 
@@ -589,6 +626,22 @@ def test_plot_bad_series_csv_continues(tmp_path, capsys, case):
     assert code == 1
     assert f"error: {bundle / 'polarity_series.csv'}:{reason}\n" in err
     assert sorted(p.name for p in bundle.glob("*.svg")) == ["ck_curve.svg"]
+
+
+@pytest.mark.parametrize(
+    "content, series_points",
+    [
+        ("x\n0\n1e300\n", []),  # one column: no series, so the x range is empty
+        ("x,y\n", [("y", [])]),  # a header with no rows
+    ],
+)
+def test_plot_series_csv_without_points_matches_oracle(tmp_path, content, series_points):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "ck_curve.csv").write_text(content, encoding="utf-8")
+    assert main(["plot", str(bundle)]) == 1  # the other four CSVs are missing
+    expected = reference_svg(series_points, *PLOT_SERIES["ck_curve.csv"])
+    assert (bundle / "ck_curve.svg").read_text(encoding="utf-8") == expected
 
 
 EXTREME_SERIES = {

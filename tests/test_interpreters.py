@@ -5,8 +5,9 @@ under each of python3.10-3.13 found on ``PATH`` or under ``~/.pyenv/versions``,
 and compares every bundle and SVG byte, exit code and output with the running
 interpreter. The inputs include the code points whose lowercase differs
 between those interpreters' Unicode versions, as tags, as ``--hashtag`` and as
-a camp keyword. Each interpreter also runs the loader oracle against the
-loader on the hostile corpus. Only the running interpreter needs pytest.
+a camp keyword, and ``plot`` also runs on a hand-made bundle of edge values.
+Each interpreter also runs the loader oracle against the loader on the
+hostile corpus. Only the running interpreter needs pytest.
 """
 
 from __future__ import annotations
@@ -97,6 +98,21 @@ def _cased_config(path: Path) -> None:
     path.write_text(json.dumps({**config, "camps": {**config["camps"], "Old": ["\ua7c0"]}}), encoding="utf-8")
 
 
+def _hand_bundle(path: Path) -> None:
+    """Series CSVs with repeated values, a signed zero at a range end, a subnormal span and a
+    constant 1e300 column, which a 0.5 pad cannot widen."""
+    path.mkdir()
+    series = {
+        "subjectivity_series.csv": "index,subjectivity\n0,0.5\n1,-0.0\n2,0.5\n3,0.0\n4,0.25\n",
+        "polarity_series.csv": "index,polarity\n0,5e-324\n1,0.0\n2,1e-323\n3,5e-324\n",
+        "combined_series.csv": "index,subjectivity,polarity\n-0.0,1e300,0.0\n1,1e300,-0.0\n2,1e300,0.0\n",
+        "ck_curve.csv": "degree,mean_clustering\n2,1.000000\n3,0.333333\n3,0.333333\n",
+        "degree_distribution.csv": "degree,count\n1,1e300\n",
+    }
+    for name, text in series.items():
+        (path / name).write_text(text, encoding="utf-8")
+
+
 def _run_all(python: str, inputs: Path, work: Path) -> dict:
     """Exit codes, stdout, stderr and output bytes of every command under ``python``, run in ``work``.
 
@@ -118,6 +134,9 @@ def _run_all(python: str, inputs: Path, work: Path) -> dict:
         seen[key] = (proc.returncode, proc.stdout, proc.stderr)
 
     run("oracle", "-c", ORACLE_CHECK, str(small))
+    run("hand plot", "-m", "herdpulse.cli", "plot", str(inputs / "hand"), "--out", "hand")
+    for path in sorted((work / "hand").iterdir()):
+        seen[f"hand/{path.name}"] = path.read_bytes()
     for label, corpus in corpora.items():
         run(f"{label} validate", "-m", "herdpulse.cli", "validate", "--corpus", str(corpus))
     for label, args in runs.items():
@@ -141,6 +160,7 @@ def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("interpreters")
     _small_corpus(directory / "small.jsonl")
     _cased_config(directory / "cased.json")
+    _hand_bundle(directory / "hand")
     return directory
 
 
@@ -182,3 +202,5 @@ def test_reference_runs_cover_every_output(reference):
     for label in ("demo", "small", "cased"):
         names = {key.split("/", 1)[1] for key in reference if key.startswith(f"{label}/")}
         assert len(names) == 15 and sum(name.endswith(".svg") for name in names) == 5
+    assert reference["hand plot"][0] == 0
+    assert sum(key.startswith("hand/") and key.endswith(".svg") for key in reference) == 5

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from herdpulse import analyze_corpus, load_config, load_corpora, preprocess
 from herdpulse.config import load_stemmer_rules, load_wordlist
-from herdpulse.preprocess import StemmerRules, StemRule, can_match, normalize, preprocess_texts
+from herdpulse.preprocess import StemmerRules, StemRule, normalize, preprocess_texts
 
 from .oracles import reference_normalize, reference_stem, reference_tokens
 
@@ -201,13 +201,15 @@ def test_stem_matches_oracle_on_random_tables(first, second, data):
 
 
 @given(small_tables(), st.data())
-def test_can_match_is_one_pass_fixed_point_on_random_tables(table, data):
+def test_word_comes_back_as_itself_only_when_its_own_stem_on_random_tables(table, data):
+    # the rule load_config applies to every lexicon term and negation word
     rules = StemmerRules([StemRule(*row) for row in table])
     term = data.draw(suffix_shaped("abs", [row[0] for row in table]))
     expected = bool(term) and reference_stem(term, table) == term
-    assert can_match(term, frozenset(), rules) == expected
-    assert not can_match(term, {term}, rules)
-    assert not can_match(term + "A", frozenset(), rules)
+    assert (preprocess_texts([term], frozenset(), rules) == [(term,)]) == expected
+    assert preprocess_texts([term], {term}, rules) != [(term,)]
+    for word in (term + "A", f"x{term}http"):
+        assert preprocess_texts([word], frozenset(), rules) != [(word,)]
 
 
 def test_stem_caches_are_per_instance():
