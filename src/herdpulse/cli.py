@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -87,7 +88,7 @@ def cmd_score(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "scores.csv").write_text(scores_csv(scores, formatted_scores(scores)), encoding="utf-8")
+    (out / "scores.csv").write_text(scores_csv(scores, *formatted_scores(scores)), encoding="utf-8")
     _print_summary(summary)
     return EXIT_OK
 
@@ -208,8 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a config or I/O failure exits 2, an unusable corpus file 1."""
+    """Run one command; a config or I/O failure exits 2, an unusable corpus file 1.
+
+    The command runs with the cyclic collector off, as a run makes no cycle per
+    record; the caller's collector state comes back however the command ends.
+    """
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ConfigError, OSError) as err:
@@ -218,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusFormatError as err:
         _fail(str(err))
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

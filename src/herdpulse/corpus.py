@@ -14,6 +14,7 @@ import codecs
 import json
 import re
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -184,15 +185,11 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     timestamp = _parse_timestamp(obj["timestamp"])
     hashtags = _parse_hashtags(obj["hashtags"])
 
-    raw_mentions = obj["mentions"]
-    if not isinstance(raw_mentions, list):
+    mentions = obj["mentions"]
+    if not (isinstance(mentions, list) and all(map(isinstance, mentions, repeat(str))) and "" not in mentions):
         raise ValueError("mentions must be an array of non-empty strings")
-    mentions = []
-    for mention in raw_mentions:
-        if not isinstance(mention, str) or not mention:
-            raise ValueError("mentions must be an array of non-empty strings")
-        if mention != author_id:  # self-mentions are dropped, not rejected
-            mentions.append(mention)
+    if author_id in mentions:  # self-mentions are dropped, not rejected
+        mentions = [mention for mention in mentions if mention != author_id]
 
     retweet_of = obj["retweet_of"]
     if retweet_of is not None and (not isinstance(retweet_of, str) or not retweet_of):
@@ -220,8 +217,8 @@ def _shared(fields: tuple, strings: dict[str, str]) -> TweetRecord:
     """The record of ``fields``, with its author, tags, mentions and retweet target from ``strings``, added when new."""
     one = strings.setdefault
     tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count = fields
-    hashtags = tuple([one(tag, tag) for tag in hashtags])
-    mentions = tuple([one(mention, mention) for mention in mentions])
+    hashtags = tuple(map(one, hashtags, hashtags))
+    mentions = tuple(map(one, mentions, mentions))
     retweet_of = None if retweet_of is None else one(retweet_of, retweet_of)
     return TweetRecord(
         tweet_id, one(author_id, author_id), text, timestamp, hashtags, mentions, retweet_of, follower_count

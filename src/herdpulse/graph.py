@@ -9,6 +9,7 @@ brute-force oracles in the test suite can match them exactly.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 from .corpus import TweetRecord
@@ -17,8 +18,8 @@ from .corpus import TweetRecord
 class SocialGraph:
     """Simple undirected graph keyed by author_id; no self-loops."""
 
-    def __init__(self):
-        self._adj: dict[str, set[str]] = {}
+    def __init__(self, adj: dict[str, set[str]]):
+        self._adj = adj
 
     def __len__(self) -> int:
         return len(self._adj)
@@ -53,46 +54,35 @@ def build_graph(records: Iterable[TweetRecord]) -> SocialGraph:
     self-interactions are dropped and repeats collapse. Each author enters
     when first seen, then each of its new targets in record order.
     """
-    graph = SocialGraph()
-    adj = graph._adj
+    adj: defaultdict[str, set[str]] = defaultdict(set)
     for record in records:
         author = record.author_id
-        own = adj.get(author)
-        if own is None:
-            own = adj[author] = set()
         targets = record.mentions
         if record.retweet_of is not None:
             targets = (*targets, record.retweet_of)
-        for other in targets:
-            if other == author:
-                continue
-            own.add(other)
-            theirs = adj.get(other)
-            if theirs is None:
-                adj[other] = {author}
-            else:
-                theirs.add(author)
-    return graph
+        own = adj[author]
+        if targets:
+            own.update(targets)
+            for other in targets:
+                adj[other].add(author)
+            own.discard(author)  # a self-mention or self-retweet adds no edge
+    return SocialGraph(dict(adj))
 
 
-def _oriented(graph: SocialGraph) -> tuple[list[str], list[set[int]]]:
-    """``(nodes, out)``: the graph interned and oriented by degree.
+def _oriented(graph: SocialGraph) -> dict[str, set[str]]:
+    """Each node's higher-ranked neighbors: the graph oriented by degree.
 
-    Node i is ``nodes[i]``, the i-th in sorted order. Nodes rank by
-    ``(degree, i)``, and ``out[i]`` holds the indices of node i's
-    higher-ranked neighbors, so each edge sits in exactly one out-set. The d
-    members of ``out[i]`` each have degree >= d, so d * d <= 2E.
+    Nodes rank by ``(degree, name)``, so each edge sits in exactly one
+    out-set, from its lower-ranked end. The d members of a node's out-set each
+    have degree >= d, so d * d <= 2E.
     """
     adj = graph._adj
-    nodes = sorted(adj)
-    index = {node: i for i, node in enumerate(nodes)}
-    ranked: set[str] = set()  # node i and every node ranked below it
-    out: list[set[int]] = [set()] * len(nodes)  # every slot is replaced below
-    for i in sorted(range(len(nodes)), key=lambda i: len(adj[nodes[i]])):
-        node = nodes[i]
+    ranked: set[str] = set()  # the node and every node ranked below it
+    out: dict[str, set[str]] = {}
+    for node in sorted(sorted(adj), key=lambda node: len(adj[node])):  # stable: ties stay in name order
         ranked.add(node)
-        out[i] = set(map(index.__getitem__, adj[node] - ranked))
-    return nodes, out
+        out[node] = adj[node] - ranked
+    return out
 
 
 def clustering_stats(graph: SocialGraph) -> ClusteringStats:
@@ -101,7 +91,7 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     One forward pass (Schank & Wagner 2005; Latapy 2008) over ``_oriented``:
     for each oriented edge u -> v, ``out[u] & out[v]`` holds the third corner
     of every triangle whose two lowest-ranked corners are u and v, so each
-    triangle is found once and credited by index to its three corners, in E
+    triangle is found once and credited to its three corners, in E
     intersections of sets of at most sqrt(2E) nodes. t_i is also the number of
     edges among i's neighbors: local C_i = 2 t_i / (k (k - 1)), 0 below
     degree 2; triangles = sum(t_i) // 3; triples = sum(k (k - 1) / 2);
@@ -110,9 +100,9 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     from one final division of exact integers; mean clustering and C(k) (mean
     C_i per degree) are exact sums; an empty graph scores 0.
     """
-    nodes, out = _oriented(graph)
-    corners = [0] * len(nodes)  # t_i
-    for u, higher in enumerate(out):
+    out = _oriented(graph)
+    corners = dict.fromkeys(out, 0)  # t_i
+    for u, higher in out.items():
         found = 0
         for v in higher:
             common = higher & out[v]
@@ -128,14 +118,14 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     degree: dict[str, int] = {}
     by_degree: dict[int, list[float]] = {}
     triples = 0
-    for node, t in zip(nodes, corners):
+    for node in sorted(adj):
         k = len(adj[node])
-        c = 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
+        c = 2.0 * corners[node] / (k * (k - 1)) if k >= 2 else 0.0
         local[node] = c
         degree[node] = k
         by_degree.setdefault(k, []).append(c)
         triples += k * (k - 1) // 2
-    triangles = sum(corners) // 3
+    triangles = sum(corners.values()) // 3
     return ClusteringStats(
         local=local,
         mean_clustering=math.fsum(local.values()) / len(local) if local else 0.0,
@@ -144,6 +134,6 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
         ck_curve=[(k, math.fsum(vals) / len(vals)) for k, vals in sorted(by_degree.items())],
         triangles=triangles,
         triples=triples,
-        edges=sum(map(len, out)),
+        edges=sum(map(len, out.values())),
     )
 

@@ -153,12 +153,13 @@ def assign_corpus(
     """
     by_tweet: dict[str, str] = {}
     tie_count = 0
+    vocabulary = frozenset().union(*camps.values())
     for own, record in zip(tokens, records, strict=True):
-        matchable = set(own) | set(record.hashtags)
-        hits = {camp_id: len(keywords & matchable) for camp_id, keywords in camps.items()}
-        best = max(hits.values(), default=0)
-        if best == 0:
+        matched = vocabulary.intersection(own + record.hashtags)
+        if not matched:
             continue
+        hits = {camp_id: len(keywords & matched) for camp_id, keywords in camps.items()}
+        best = max(hits.values())
         leaders = [camp_id for camp_id, n in hits.items() if n == best]
         if len(leaders) > 1:
             tie_count += 1

@@ -117,15 +117,19 @@ def _json_text(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def formatted_scores(scores: list[SentimentScore]) -> list[tuple[str, str, str]]:
-    """(index, polarity, subjectivity) of each score, formatted once for every CSV."""
-    return [(str(i), fixed(s.polarity), fixed(s.subjectivity)) for i, s in enumerate(scores)]
+def formatted_scores(scores: list[SentimentScore]) -> tuple[list[str], list[str]]:
+    """The polarity and subjectivity columns of the scores, each distinct value formatted once."""
+    polarities = [s.polarity for s in scores]
+    subjectivities = [s.subjectivity for s in scores]
+    # 0.0 and -0.0 share a key, and fixed gives both the same text
+    text = {value: fixed(value) for value in {*polarities, *subjectivities}}
+    return list(map(text.__getitem__, polarities)), list(map(text.__getitem__, subjectivities))
 
 
-def scores_csv(scores: list[SentimentScore], rows: list[tuple[str, str, str]]) -> str:
+def scores_csv(scores: list[SentimentScore], polarities: list[str], subjectivities: list[str]) -> str:
     return _csv_text(
         ["tweet_id", "polarity", "subjectivity", "label"],
-        ((s.tweet_id, polarity, subjectivity, s.label) for s, (_, polarity, subjectivity) in zip(scores, rows)),
+        zip([s.tweet_id for s in scores], polarities, subjectivities, [s.label for s in scores]),
     )
 
 
@@ -144,14 +148,15 @@ def _prediction_json(result: AnalysisResult) -> str:
 def bundle_files(result: AnalysisResult) -> dict[str, str]:
     """Name -> content for every report file except the manifest."""
     stats = result.stats
-    rows = formatted_scores(result.scores)
+    polarities, subjectivities = formatted_scores(result.scores)
+    index = list(map(str, range(len(result.scores))))
 
     degree_counts: dict[int, int] = {}
     for k in stats.degree.values():
         degree_counts[k] = degree_counts.get(k, 0) + 1
 
     files: dict[str, str] = {}
-    files["scores.csv"] = scores_csv(result.scores, rows)
+    files["scores.csv"] = scores_csv(result.scores, polarities, subjectivities)
     files["graph_summary.json"] = _json_text(
         {
             "nodes": len(stats.degree),
@@ -168,13 +173,10 @@ def bundle_files(result: AnalysisResult) -> dict[str, str]:
         ["degree", "mean_clustering"],
         ((str(k), fixed(c)) for k, c in stats.ck_curve),
     )
-    files["subjectivity_series.csv"] = _csv_text(
-        ["index", "subjectivity"], ((i, subjectivity) for i, _, subjectivity in rows)
-    )
-    files["polarity_series.csv"] = _csv_text(["index", "polarity"], ((i, polarity) for i, polarity, _ in rows))
+    files["subjectivity_series.csv"] = _csv_text(["index", "subjectivity"], zip(index, subjectivities))
+    files["polarity_series.csv"] = _csv_text(["index", "polarity"], zip(index, polarities))
     files["combined_series.csv"] = _csv_text(
-        ["index", "subjectivity", "polarity"],
-        ((i, subjectivity, polarity) for i, polarity, subjectivity in rows),
+        ["index", "subjectivity", "polarity"], zip(index, subjectivities, polarities)
     )
     files["herd_report.json"] = _json_text(result.herd)
     files["prediction.json"] = _prediction_json(result)

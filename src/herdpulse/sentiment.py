@@ -51,6 +51,8 @@ def score_tokens(
     unaffected by negation. The mean polarity is clamped to [-1, 1] as a guard
     (contributions already lie inside the interval).
     """
+    if lexicon.keys().isdisjoint(tokens):
+        return SentimentScore(tweet_id, 0.0, 0.0, NEUTRAL, 0)
     polarities: list[float] = []
     subjectivities: list[float] = []
     previous: str | None = None
@@ -63,9 +65,6 @@ def score_tokens(
             polarities.append(polarity)
             subjectivities.append(subjectivity)
         previous = token
-
-    if not polarities:
-        return SentimentScore(tweet_id, 0.0, 0.0, NEUTRAL, 0)
 
     # fsum keeps the mean independent of hit order, so token permutations away
     # from negation windows cannot flip a label through rounding noise

@@ -11,7 +11,8 @@ reference restates the per-line rules with ``json.loads`` and plain field
 checks, reads timestamps by hand instead of with ``fromisoformat``, loads
 several files the old way (each file whole, then merge, then filter), and
 shares no helper with ``herdpulse.corpus``. The herd references test each
-band edge by hand and rank camps by counting the camps ahead of each. The
+band edge by hand, assign camps by counting each camp's keywords among a
+tweet's words, and rank camps by counting the camps ahead of each. The
 plot reference places and formats every point on its own, from
 ``(x, y)`` pairs per series.
 """
@@ -389,6 +390,31 @@ def reference_percent(count: int, total: int) -> str:
     whole, rest = divmod(100 * count, total)
     tenths, rest = divmod(10 * rest, total)
     return f"{whole}.{tenths}{10 * rest // total}"
+
+
+def reference_assign(
+    tweets: list[tuple[str, tuple[str, ...], tuple[str, ...]]], camps: dict[str, frozenset[str]]
+) -> tuple[dict[str, str], int, int]:
+    """Camp assignment the plain way, from ``(tweet_id, tokens, hashtags)`` per tweet.
+
+    A camp's count is the number of its keywords among the tweet's tokens and
+    hashtags, each distinct word once. The camp with the highest count gets
+    the tweet when that count is above 0 and no other camp has it; a tweet
+    whose highest count is shared is a tie. Returns ``(tweet_id -> camp, ties,
+    unassigned tweets)``.
+    """
+    by_tweet = {}
+    ties = 0
+    for tweet_id, tokens, hashtags in tweets:
+        words = set(tokens) | set(hashtags)
+        counts = {camp: sum(1 for keyword in keywords if keyword in words) for camp, keywords in camps.items()}
+        top = max(counts.values(), default=0)
+        leaders = [camp for camp, count in counts.items() if count == top]
+        if top > 0 and len(leaders) == 1:
+            by_tweet[tweet_id] = leaders[0]
+        elif top > 0:
+            ties += 1
+    return by_tweet, ties, len(tweets) - len(by_tweet)
 
 
 def reference_predict(tweets: list[tuple[str | None, str]]) -> dict | None:

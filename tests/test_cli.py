@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from herdpulse import pipeline
+from herdpulse import cli, pipeline
 from herdpulse.cli import PLOT_SERIES, main
 from herdpulse.herd import AuthorProfile, BandStat, CampResult, HerdReport, PredictionReport
 
@@ -753,3 +754,61 @@ def test_plot_empty_series_renders_axes(tmp_path):
     svg = (bundle / "subjectivity_series.svg").read_text(encoding="utf-8")
     assert "<svg" in svg and "<line" in svg
     assert "<circle" not in svg
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and back as it was afterwards."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def test_main_runs_the_command_with_the_collector_off_and_restores_it(tmp_path, monkeypatch, collector):
+    junk = write_corpus(tmp_path, ["junk", "{more junk", record_line()])
+    bad_config = tmp_path / "config.json"
+    bad_config.write_text("{", encoding="utf-8")
+    cases = [
+        (["validate", "--corpus", DEMO_CORPUS], 0),
+        (["analyze", "--corpus", junk, "--out", str(tmp_path / "o1")], 1),  # CorpusFormatError
+        (["analyze", "--corpus", DEMO_CORPUS, "--config", str(bad_config), "--out", str(tmp_path / "o2")], 2),
+        (["validate", "--corpus", str(tmp_path / "nope.jsonl")], 2),  # OSError
+    ]
+    for argv, code in cases:
+        assert main(argv) == code
+        assert gc.isenabled() is collector
+
+    seen = []
+
+    def failing_command(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", failing_command)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["validate", "--corpus", DEMO_CORPUS])
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("collector", [False], ids=["collector_off"], indirect=True)
+def test_analyze_leaves_no_cycle_per_record(tmp_path, collector):
+    # With the collector off for the whole command, a cycle made per record would
+    # hold memory that grows with the input; the cycles a run does make are fixed.
+    lines = Path(DEMO_CORPUS).read_text(encoding="utf-8").splitlines()
+    copies = []
+    for k in range(6):
+        for line in lines:
+            obj = json.loads(line)
+            obj["tweet_id"] = f"{obj['tweet_id']}_{k}"
+            copies.append(json.dumps(obj))
+    larger = write_corpus(tmp_path, copies, "larger.jsonl")
+    # one run first, so caches filled on first use are not counted
+    assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(tmp_path / "w")]) == 0
+    gc.collect()
+    found = []
+    for corpus in (DEMO_CORPUS, larger):
+        assert main(["analyze", "--corpus", corpus, "--config", DEMO_CONFIG, "--out", str(tmp_path / "b")]) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1]

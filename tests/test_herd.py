@@ -20,7 +20,7 @@ from herdpulse.sentiment import NEGATIVE, NEUTRAL, POSITIVE, SentimentScore
 
 from .conftest import make_record
 from .fixtures import clique_star_corpus
-from .oracles import reference_band, reference_predict
+from .oracles import reference_assign, reference_band, reference_predict
 
 
 def profile(author, subj, clustering):
@@ -162,14 +162,28 @@ WORDS = ("alpha", "beta", "gamma", "delta")
 
 @given(
     tweets=st.lists(
-        st.tuples(st.frozensets(st.sampled_from(WORDS)), st.frozensets(st.sampled_from(WORDS), max_size=1)),
+        st.tuples(st.frozensets(st.sampled_from(WORDS)), st.frozensets(st.sampled_from(WORDS), max_size=2)),
         max_size=12,
     ),
     camps=st.dictionaries(st.sampled_from("XYZ"), st.frozensets(st.sampled_from(WORDS), min_size=1), max_size=3),
 )
+# camps that share a keyword tie on it
+@example(tweets=[(frozenset({"alpha"}), frozenset())], camps={"X": frozenset(WORDS[:2]), "Y": frozenset(WORDS[:1])})
+# the only hit is a hashtag
+@example(
+    tweets=[(frozenset({"beta"}), frozenset({"gamma"}))], camps={"X": frozenset({"gamma"}), "Y": frozenset({"alpha"})}
+)
+# a word that is both a token and a hashtag counts once
+@example(
+    tweets=[(frozenset({"alpha", "beta"}), frozenset({"alpha"}))],
+    camps={"X": frozenset({"alpha"}), "Y": frozenset({"beta", "gamma"})},
+)
 def test_assigned_and_unassigned_add_up_to_the_tweets(tweets, camps):
     records = [make_record(tweet_id=f"t{i}", hashtags=sorted(tags)) for i, (_, tags) in enumerate(tweets)]
-    assignments = assign_corpus([tuple(sorted(own)) for own, _ in tweets], records, camps)
+    tokens = [tuple(sorted(own)) for own, _ in tweets]
+    assignments = assign_corpus(tokens, records, camps)
+    expected = reference_assign([(r.tweet_id, own, r.hashtags) for r, own in zip(records, tokens)], camps)
+    assert (assignments.by_tweet, assignments.tie_count, assignments.unassigned_count) == expected
     assert len(assignments.by_tweet) + assignments.unassigned_count == len(records)
     assert assignments.tie_count <= assignments.unassigned_count
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,6 +129,15 @@ def test_score_bounds_and_sign_rule(tokens, lexicon):
         assert score.label == NEGATIVE
     else:
         assert score.label == NEUTRAL
+
+
+@given(tokens=token_strategy, lexicon=random_lexicons())
+def test_tokens_without_a_lexicon_term_score_exactly_neutral(tokens, lexicon):
+    # negation words included: with no hit after them they change nothing
+    misses = [token for token in tokens if token not in lexicon]
+    score = score_tokens("t1", misses, lexicon, NEGATIONS)
+    assert score == SentimentScore("t1", 0.0, 0.0, NEUTRAL, 0)
+    assert math.copysign(1.0, score.polarity) == math.copysign(1.0, score.subjectivity) == 1.0
 
 
 @given(tokens=st.lists(st.sampled_from(["good", "bad", "meh", "zzz"]), max_size=20))
