@@ -3,9 +3,10 @@
 A corpus file is UTF-8, one JSON object per LF-terminated line, with keys:
 ``tweet_id``, ``author_id``, ``text``, ``timestamp`` (RFC 3339, read as UTC),
 ``hashtags``, ``mentions``, ``retweet_of`` (string or null) and
-``follower_count``. Unknown keys are ignored but counted. ``load_corpora``
-reads one or more files at once: the first occurrence of a tweet_id across
-files wins, and with a hashtag it keeps only the records that carry it.
+``follower_count``. The timestamp and follower count are validated but not
+kept. Unknown keys are ignored but counted. ``load_corpora`` reads one or more
+files at once: the first occurrence of a tweet_id across files wins, and with
+a hashtag it keeps only the records that carry it.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ class TweetRecord(NamedTuple):
     tweet_id: str
     author_id: str
     text: str
-    timestamp: datetime
     hashtags: tuple[str, ...]
     mentions: tuple[str, ...]
     retweet_of: str | None
-    follower_count: int
 
 
 class LineError(NamedTuple):
@@ -158,7 +157,7 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
 
 def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     """Validate one non-blank line; returns (its tweet_id, its stored tags, the
-    fields of its record in ``REQUIRED_KEYS`` order with lists for hashtags and
+    fields of its record in ``TweetRecord`` order with lists for hashtags and
     mentions, unknown-key count)."""
     try:
         obj = _decode_json(line)
@@ -182,7 +181,7 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
 
-    timestamp = _parse_timestamp(obj["timestamp"])
+    _parse_timestamp(obj["timestamp"])
     hashtags = _parse_hashtags(obj["hashtags"])
 
     mentions = obj["mentions"]
@@ -201,12 +200,11 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     if follower_count < 0:
         raise ValueError("follower_count must be >= 0")
 
-    # REQUIRED_KEYS order: the surrogate check zips the two, and _shared unpacks it
-    fields = (tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count)
+    fields = (tweet_id, author_id, text, hashtags, mentions, retweet_of)
     # a lone surrogate cannot be written back as UTF-8; raw lines are valid
     # UTF-8, so only a \u escape can make one
     if "\\u" in line:
-        for name, value in zip(REQUIRED_KEYS, fields):
+        for name, value in zip(TweetRecord._fields, fields):
             for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, str) and _SURROGATE.search(item):
                     raise ValueError(f"{name} contains a lone surrogate")
@@ -216,13 +214,11 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
 def _shared(fields: tuple, strings: dict[str, str]) -> TweetRecord:
     """The record of ``fields``, with its author, tags, mentions and retweet target from ``strings``, added when new."""
     one = strings.setdefault
-    tweet_id, author_id, text, timestamp, hashtags, mentions, retweet_of, follower_count = fields
+    tweet_id, author_id, text, hashtags, mentions, retweet_of = fields
     hashtags = tuple(map(one, hashtags, hashtags))
     mentions = tuple(map(one, mentions, mentions))
     retweet_of = None if retweet_of is None else one(retweet_of, retweet_of)
-    return TweetRecord(
-        tweet_id, one(author_id, author_id), text, timestamp, hashtags, mentions, retweet_of, follower_count
-    )
+    return TweetRecord(tweet_id, one(author_id, author_id), text, hashtags, mentions, retweet_of)
 
 
 def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadResult:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 
 import pytest
 
@@ -16,17 +15,14 @@ def make_record(
     hashtags=(),
     mentions=(),
     retweet_of=None,
-    follower_count=0,
 ):
     return TweetRecord(
         tweet_id=tweet_id,
         author_id=author_id,
         text=text,
-        timestamp=datetime(2021, 2, 1, 12, 0, 0, tzinfo=timezone.utc),
         hashtags=tuple(hashtags),
         mentions=tuple(mentions),
         retweet_of=retweet_of,
-        follower_count=follower_count,
     )
 
 

@@ -179,6 +179,8 @@ CORPUS_KEYS = (
     "retweet_of",
     "follower_count",
 )
+# a record keeps every key but these two, which only decide whether its line is valid
+KEPT_KEYS = tuple(key for key in CORPUS_KEYS if key not in ("timestamp", "follower_count"))
 
 
 def reference_timestamp(value) -> datetime:
@@ -259,7 +261,7 @@ def reference_tag(text: str) -> str | None:
 
 
 def _reference_record(line: str) -> tuple[tuple, int]:
-    """One non-blank line -> (field values in ``CORPUS_KEYS`` order,
+    """One non-blank line -> (field values in ``KEPT_KEYS`` order,
     unknown-key count); raises ``ValueError`` with the line's reason."""
     try:
         obj = json.loads(line)
@@ -284,7 +286,7 @@ def _reference_record(line: str) -> tuple[tuple, int]:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
 
-    timestamp = reference_timestamp(obj["timestamp"])
+    reference_timestamp(obj["timestamp"])
 
     raw_tags = obj["hashtags"]
     if not isinstance(raw_tags, list):
@@ -314,8 +316,8 @@ def _reference_record(line: str) -> tuple[tuple, int]:
     if follower_count < 0:
         raise ValueError("follower_count must be >= 0")
 
-    fields = (tweet_id, author_id, text, timestamp, tuple(hashtags), mentions, retweet_of, follower_count)
-    for name, value in zip(CORPUS_KEYS, fields):
+    fields = (tweet_id, author_id, text, tuple(hashtags), mentions, retweet_of)
+    for name, value in zip(KEPT_KEYS, fields):
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, str):
                 try:
@@ -372,7 +374,7 @@ def reference_load_files(files: list[list[str]], tag: str | None) -> tuple | Non
             if fields[0] not in seen:
                 seen.add(fields[0])
                 merged.append(fields)
-    kept = merged if tag is None else [f for f in merged if reference_tag(tag) in f[4]]
+    kept = merged if tag is None else [f for f in merged if reference_tag(tag) in f[3]]
     return kept, errors, unknown, len(merged)
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import herdpulse
 from herdpulse import svgplot
+from herdpulse.corpus import TweetRecord
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -126,6 +127,17 @@ def test_every_public_definition_has_a_reader():
             if not any(re.search(rf"\b{node.name}\b", other) for other in others):
                 unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert unread == []
+
+
+def test_every_record_field_has_a_reader():
+    # a TweetRecord field is read by name in a module that takes records, or it is not stored
+    read = set()
+    for path in sorted((SRC / "herdpulse").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if "TweetRecord" in imported:
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert [field for field in TweetRecord._fields if field not in read] == []
 
 
 def test_sources_parse_as_python_3_10():
