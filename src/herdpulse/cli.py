@@ -1,30 +1,20 @@
 """Command-line front end: validate, score, analyze, plot.
 
 Exit codes: 0 success, 1 data/validation failure, 2 I/O or config failure.
+A command imports the analysis modules it runs in its own body.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
 import gc
 import io
 import math
+import re
 import sys
 from itertools import chain
 from pathlib import Path
 
-from .config import ConfigError, _read_text, check_utf8, load_config
-from .corpus import CorpusFormatError, LoadResult, load_corpora
-from .pipeline import (
-    NO_CAMP_SIGNAL,
-    analyze_corpus,
-    fixed,
-    formatted_scores,
-    score_corpus,
-    scores_csv,
-    write_bundle,
-)
+from .inputs import ConfigError, CorpusFormatError, _read_text
 from .svgplot import render_scatter
 
 EXIT_OK = 0
@@ -39,20 +29,24 @@ PLOT_SERIES = {
     "ck_curve.csv": ("Clustering coefficient vs degree", "degree", "mean clustering"),
     "degree_distribution.csv": ("Degree distribution", "degree", "node count"),
 }
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # XML 1.0 cannot hold these; UTF-8 gives no surrogate
 
 
 def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _load_inputs(paths: list[str], hashtag: str | None) -> LoadResult:
-    """Load corpus files; a bad tag fails as a config error before any file is read."""
+def _load_inputs(args):
+    """The run config and the loaded corpus files; a bad tag fails as a config error before any corpus is read."""
+    from .config import load_config
+    from .corpus import load_corpora
+    config = load_config(args.config)
     try:
-        return load_corpora(paths, hashtag)
+        return config, load_corpora(args.corpus, args.hashtag)
     except CorpusFormatError:
         raise
     except ValueError as err:  # the tag check; bad lines come back as LineError entries
-        raise ConfigError(f"--hashtag {hashtag!r}: {err}") from None
+        raise ConfigError(f"--hashtag {args.hashtag!r}: {err}") from None
 
 
 def _print_summary(summary) -> None:
@@ -63,6 +57,7 @@ def _print_summary(summary) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .corpus import load_corpora
     status = EXIT_OK
     for path in args.corpus:
         try:
@@ -82,8 +77,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = load_config(args.config)
-    loaded = _load_inputs(args.corpus, args.hashtag)
+    from .pipeline import formatted_scores, score_corpus, scores_csv
+    config, loaded = _load_inputs(args)
     _, scores, summary = score_corpus(loaded.records, config)
 
     out = Path(args.out)
@@ -94,11 +89,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .config import check_utf8
+    from .pipeline import NO_CAMP_SIGNAL, analyze_corpus, fixed, write_bundle
     # the manifest records the input paths as UTF-8 text
     check_utf8("--corpus", args.corpus)
     check_utf8("--config", [args.config or ""])
-    config = load_config(args.config)
-    loaded = _load_inputs(args.corpus, args.hashtag)
+    config, loaded = _load_inputs(args)
     if not loaded.records:
         _fail("corpus is empty after loading/filtering; nothing to analyze")
         return EXIT_DATA
@@ -119,16 +115,20 @@ def cmd_analyze(args) -> int:
 def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     """Header and columns of finite numbers; raises ValueError as ``path:line: reason``.
 
-    The file is read as every other input is: UTF-8, a leading BOM ignored.
-    Rows are transposed and each column converted and checked in bulk. A file
-    that fails is read again row by row to name a line: the first where a
-    cell cannot be read or converted, else the first row of the wrong width
-    or with a number that is not finite.
+    The file is read as every other input is: UTF-8, a leading BOM ignored; a
+    NUL fails first, on 3.11+ as 3.10's csv fails it. Rows are transposed and
+    each column converted and checked in bulk. A file that fails is read again
+    row by row to name a line: the first where a header cell holds what XML
+    1.0 cannot (the SVG shows it) or a cell cannot be read or converted, else
+    the first row of the wrong width or with a number that is not finite.
     """
     text = _read_text(path)
+    if "\0" in text:
+        line = len(io.StringIO(text[: text.index("\0") + 1], newline="").readlines())
+        raise ValueError(f"{path}:{line}: line contains NUL")
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
-        if rows and rows[0] and set(map(len, rows)) == {len(rows[0])}:
+        if rows and rows[0] and set(map(len, rows)) == {len(rows[0])} and not _NOT_XML.search("".join(rows[0])):
             # each column starts with its header cell
             columns = [list(map(float, column[1:])) for column in zip(*rows)]
             if all(map(math.isfinite, chain.from_iterable(columns))):
@@ -138,6 +138,8 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
+        if bad := _NOT_XML.search("".join(header or "")):
+            raise ValueError(f"header holds {bad.group()!r}, which XML 1.0 cannot")
         rows = [[float(cell) for cell in row] for row in reader] if header else []
     except (ValueError, csv.Error) as err:
         raise ValueError(f"{path}:{reader.line_num}: {err}") from None

@@ -27,12 +27,9 @@ from typing import Iterator, NamedTuple
 
 from .corpus import _NEVER_MATCHES, _SURROGATE, _json_reason, _stored_tag
 from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
+from .inputs import ConfigError, _read_text
 from .preprocess import StemmerRules, StemRule, preprocess_texts
 from .sentiment import Lexicon
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class RunConfig(NamedTuple):
@@ -44,14 +41,6 @@ class RunConfig(NamedTuple):
     negation_words: frozenset[str]
     lexicon: Lexicon
     reference_shares: dict[str, str]
-
-
-def _read_text(path: Path) -> str:
-    """A UTF-8 file's text, without a leading BOM; raises ConfigError if it is not UTF-8."""
-    try:
-        return path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not valid UTF-8") from None
 
 
 def _data_rows(path: str | Path, fields: int) -> Iterator[tuple[str, list[str]]]:

@@ -19,6 +19,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
+from .inputs import CorpusFormatError
+
 
 REQUIRED_KEYS = (
     "tweet_id",
@@ -56,10 +58,6 @@ _RFC3339 = re.compile(
     r"[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]"
     r"(?:[Tt ][0-9][0-9]:[0-9][0-9]:[0-9][0-9](?:\.[0-9]+)?(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?)?"
 )
-
-
-class CorpusFormatError(ValueError):
-    """Raised when a corpus file as a whole is unusable."""
 
 
 class TweetRecord(NamedTuple):

@@ -16,8 +16,6 @@ distinct token is stemmed once per call, through a table dropped when the
 call returns.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple, Sequence
 

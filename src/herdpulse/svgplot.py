@@ -6,8 +6,6 @@ formatting and nothing (ids, timestamps, library versions) leaks into the
 output.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain
 

@@ -612,6 +612,15 @@ BAD_SERIES = {
         "2: could not convert string to float: 'abc'",
     ),
     "nan_in_middle": (b"index,a,b\n0,0.5,0.1\n1,nan,0.2\n", "3: expected 3 finite numbers, got [1.0, nan, 0.2]"),
+    # a header cell is SVG text, so it holds only what XML 1.0 can
+    "control_in_header": (b"index,pol\x01arity\n0,0.5\n", "1: header holds '\\x01', which XML 1.0 cannot"),
+    "noncharacter_in_header": (b"index,\xef\xbf\xbe\n0,0.5\n", "1: header holds '\\ufffe', which XML 1.0 cannot"),
+    "control_in_header_then_text": (b"index,a\x1f\n0,abc\n", "1: header holds '\\x1f', which XML 1.0 cannot"),
+    # a NUL fails on every interpreter, as 3.10's csv fails it, before any other fault
+    "nul_in_header": (b"index,pol\x00arity\n0,0.5\n", "1: line contains NUL"),
+    "nul_in_cell": (b"index,polarity\n0,0.5\n1,0.\x005\n", "3: line contains NUL"),
+    "text_then_nul": (b"index,polarity\n0,abc\n1,\x00\n", "3: line contains NUL"),
+    "nul_after_cr_lines": (b"index,polarity\r0,0.5\r\n1,\x00\r", "3: line contains NUL"),
 }
 
 

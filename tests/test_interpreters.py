@@ -5,9 +5,11 @@ under each of python3.10-3.13 found on ``PATH`` or under ``~/.pyenv/versions``,
 and compares every bundle and SVG byte, exit code and output with the running
 interpreter. The inputs include the code points whose lowercase differs
 between those interpreters' Unicode versions, as tags, as ``--hashtag`` and as
-a camp keyword, and ``plot`` also runs on a hand-made bundle of edge values.
-Each interpreter also runs the loader oracle against the loader on the
-hostile corpus. Only the running interpreter needs pytest.
+a camp keyword, and ``plot`` also runs on a hand-made bundle of edge values
+and on one of CSVs with a NUL or with a header XML cannot hold. Each
+interpreter also runs the loader oracle against the loader on the hostile
+corpus and lists the herdpulse modules that ``import herdpulse.cli`` loads.
+Only the running interpreter needs pytest.
 """
 
 from __future__ import annotations
@@ -113,6 +115,21 @@ def _hand_bundle(path: Path) -> None:
         (path / name).write_text(text, encoding="utf-8")
 
 
+def _bad_bundle(path: Path) -> None:
+    """Series CSVs with a NUL in a header, in a cell and after a bad cell, and headers with characters
+    XML 1.0 cannot hold, one before a bad cell; 3.10's csv fails a NUL and 3.11's reads it."""
+    path.mkdir()
+    series = {
+        "subjectivity_series.csv": b"index,subj\x00ectivity\n0,0.5\n",
+        "polarity_series.csv": b"index,polarity\r0,0.5\r1,0.\x005\r",
+        "combined_series.csv": b"index,sub\x01jectivity,polarity\n0,0.5,0.25\n",
+        "ck_curve.csv": b"degree,\xef\xbf\xbf\n2,abc\n",
+        "degree_distribution.csv": b"degree,count\n1,3\n2,abc\n3,\x00\n",
+    }
+    for name, data in series.items():
+        (path / name).write_bytes(data)
+
+
 def _run_all(python: str, inputs: Path, work: Path) -> dict:
     """Exit codes, stdout, stderr and output bytes of every command under ``python``, run in ``work``.
 
@@ -134,9 +151,11 @@ def _run_all(python: str, inputs: Path, work: Path) -> dict:
         seen[key] = (proc.returncode, proc.stdout, proc.stderr)
 
     run("oracle", "-c", ORACLE_CHECK, str(small))
-    run("hand plot", "-m", "herdpulse.cli", "plot", str(inputs / "hand"), "--out", "hand")
-    for path in sorted((work / "hand").iterdir()):
-        seen[f"hand/{path.name}"] = path.read_bytes()
+    run("cli modules", "-c", "import sys, herdpulse.cli; print(sorted(m for m in sys.modules if 'herdpulse' in m))")
+    for label in ("bad", "hand"):
+        run(f"{label} plot", "-m", "herdpulse.cli", "plot", str(inputs / label), "--out", label)
+        for path in sorted((work / label).iterdir()):
+            seen[f"{label}/{path.name}"] = path.read_bytes()
     for label, corpus in corpora.items():
         run(f"{label} validate", "-m", "herdpulse.cli", "validate", "--corpus", str(corpus))
     for label, args in runs.items():
@@ -161,6 +180,7 @@ def inputs(tmp_path_factory):
     _small_corpus(directory / "small.jsonl")
     _cased_config(directory / "cased.json")
     _hand_bundle(directory / "hand")
+    _bad_bundle(directory / "bad")
     return directory
 
 
@@ -203,4 +223,16 @@ def test_reference_runs_cover_every_output(reference):
         names = {key.split("/", 1)[1] for key in reference if key.startswith(f"{label}/")}
         assert len(names) == 15 and sum(name.endswith(".svg") for name in names) == 5
     assert reference["hand plot"][0] == 0
+    assert reference["cli modules"][1].decode("ascii").split() == [
+        "['herdpulse',", "'herdpulse.cli',", "'herdpulse.inputs',", "'herdpulse.preprocess',", "'herdpulse.svgplot']"
+    ]
+    bad = [line.split(".csv:", 1)[1] for line in reference["bad plot"][2].decode("utf-8").splitlines()]
+    assert reference["bad plot"][:2] == (1, b"") and not any(key.startswith("bad/") for key in reference)
+    assert bad == [
+        "1: line contains NUL",
+        "3: line contains NUL",
+        "1: header holds '\\x01', which XML 1.0 cannot",
+        "1: header holds '\\uffff', which XML 1.0 cannot",
+        "4: line contains NUL",
+    ]
     assert sum(key.startswith("hand/") and key.endswith(".svg") for key in reference) == 5

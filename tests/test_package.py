@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -36,6 +37,17 @@ PURE_MODULES = ["preprocess.py", "sentiment.py", "herd.py", "svgplot.py"]
 # none is needed to run herdpulse: xml.sax.saxutils pulls in the first four
 # through urllib, and one dataclass record pulls in the last two
 UNUSED_AT_STARTUP = ("urllib.request", "http.client", "email", "ssl", "dataclasses", "inspect")
+# none is needed to render a bundle's CSVs
+UNUSED_BY_PLOT = (
+    "herdpulse.config", "herdpulse.corpus", "herdpulse.sentiment", "herdpulse.graph", "herdpulse.herd",
+    "herdpulse.pipeline", "hashlib", "json", "datetime",
+)
+# prints the exit code of main(argv[2:]) and which modules of the comma-separated argv[1] it left unloaded
+RUN_AND_LIST = """
+import sys, herdpulse.cli
+code = herdpulse.cli.main(sys.argv[2:])
+print(code, sorted(m for m in sys.argv[1].split(",") if m not in sys.modules))
+"""
 
 
 def _python(*args: str, env_overrides: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
@@ -66,12 +78,13 @@ def _readme_library_imports() -> list[str]:
 
 
 def test_package_exports_only_the_documented_names():
+    # the exports are loaded on first use, so they are listed by dir() and read with getattr, not found in vars()
     public = {
         name
-        for name, value in vars(herdpulse).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(herdpulse)
+        if not name.startswith("_") and not isinstance(getattr(herdpulse, name), types.ModuleType)
     }
-    assert public == EXPORTS
+    assert public == EXPORTS == set(herdpulse.__all__)
     assert herdpulse.__version__
 
 
@@ -169,6 +182,66 @@ def test_cli_import_leaves_network_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_plot_loads_only_the_cli_and_the_renderer(tmp_path):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(REPO / "tests" / "goldens" / "demo_bundle", bundle)
+    proc = _python("-c", RUN_AND_LIST, ",".join(UNUSED_BY_PLOT), "plot", str(bundle), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(UNUSED_BY_PLOT)}"
+    for svg in sorted(tmp_path.glob("*.svg")):
+        assert svg.read_bytes() == (bundle / svg.name).read_bytes(), svg.name
+
+
+def test_validate_loads_the_loader_only():
+    modules = ["herdpulse.corpus", "herdpulse.config", "herdpulse.pipeline", "hashlib"]
+    corpus = "demos/data/demo_tweets.jsonl"
+    proc = _python("-c", RUN_AND_LIST, ",".join(modules), "validate", "--corpus", corpus, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['hashlib', 'herdpulse.config', 'herdpulse.pipeline']"
+
+
+def test_bench_setup_code_runs():
+    # bench/run.py times this code in fresh interpreters; it reaches herdpulse.config through the package
+    tree = ast.parse((REPO / "bench" / "run.py").read_text(encoding="utf-8"))
+    (code,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]
+    ]
+    proc = _python("-c", code, "demos/data/demo_config.json", cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.split()[-1]) == SRC / "herdpulse" / "cli.py"
+
+
+@pytest.mark.parametrize("before", ["", "import herdpulse.config", "import herdpulse.preprocess", "import herdpulse"])
+def test_preprocess_export_is_the_function(before):
+    # loading a submodule binds the package attribute of its name to it; the export must not turn into the module
+    proc = _python(
+        "-c",
+        f"{before}\nfrom herdpulse import preprocess\nimport herdpulse\n"
+        "print(preprocess.__module__, preprocess.__qualname__, herdpulse.preprocess is preprocess)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "herdpulse.preprocess preprocess True"
+
+
+def test_package_loads_its_modules_on_first_use():
+    proc = _python(
+        "-c",
+        "import sys, herdpulse\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('herdpulse'))\n"
+        "print(loaded(), hasattr(herdpulse, 'nope'), hasattr(herdpulse, 'nope.deeper'))\n"
+        "print(herdpulse.build_graph.__module__, herdpulse.sentiment.__name__, loaded())",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['herdpulse', 'herdpulse.preprocess'] False False",
+        "herdpulse.graph herdpulse.sentiment "
+        "['herdpulse', 'herdpulse.corpus', 'herdpulse.graph', 'herdpulse.inputs', 'herdpulse.preprocess', "
+        "'herdpulse.sentiment']",
+    ]
 
 
 @given(st.text(alphabet=st.sampled_from("&<>\"' a;#xé"), max_size=30) | st.text(max_size=30))
