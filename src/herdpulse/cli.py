@@ -157,7 +157,6 @@ def cmd_plot(args) -> int:
         _fail(f"no such bundle directory: {bundle}")
         return EXIT_IO
     out = Path(args.out) if args.out else bundle
-    out.mkdir(parents=True, exist_ok=True)
 
     status = EXIT_OK
     for name, (title, x_label, y_label) in PLOT_SERIES.items():
@@ -173,6 +172,7 @@ def cmd_plot(args) -> int:
             status = EXIT_DATA
             continue
         svg = render_scatter(list(zip(header[1:], columns[1:])), columns[0], title, x_label, y_label)
+        out.mkdir(parents=True, exist_ok=True)  # only once there is an SVG to write
         target = out / (name[: -len(".csv")] + ".svg")
         target.write_text(svg, encoding="utf-8")
         print(f"wrote {target}")

@@ -58,6 +58,9 @@ _RFC3339 = re.compile(
     r"[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]"
     r"(?:[Tt ][0-9][0-9]:[0-9][0-9]:[0-9][0-9](?:\.[0-9]+)?(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?)?"
 )
+# the rest of a UTC stamp after its 14-character head "YYYY-MM-DD?HH:"; a UTC stamp
+# cannot overflow, so with a head that passed in full the whole stamp is valid
+_SAME_HOUR_REST = re.compile(r"[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?[Zz]")
 
 
 class TweetRecord(NamedTuple):
@@ -153,10 +156,11 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
     return _OLDER_JSON_MESSAGES.get(err.msg, err.msg)
 
 
-def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
+def _parse_line(line: str, hours: set[str]) -> tuple[str, list[str], tuple, int]:
     """Validate one non-blank line; returns (its tweet_id, its stored tags, the
     fields of its record in ``TweetRecord`` order with lists for hashtags and
-    mentions, unknown-key count)."""
+    mentions, unknown-key count). ``hours`` holds the heads (``YYYY-MM-DD?HH:``)
+    of the stamps that passed in full so far; a new one is added."""
     try:
         obj = _decode_json(line)
     except (ValueError, RecursionError) as err:
@@ -179,7 +183,12 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
 
-    _parse_timestamp(obj["timestamp"])
+    stamp = obj["timestamp"]
+    if not (isinstance(stamp, str) and stamp[:14] in hours and _SAME_HOUR_REST.fullmatch(stamp, 14)):
+        _parse_timestamp(stamp)
+        # ':' at index 13 rules out leading whitespace; no hour-24 head, should a fromisoformat read 24:00:00
+        if stamp[13:14] == ":" and stamp[11:13] < "24":
+            hours.add(stamp[:14])
     hashtags = _parse_hashtags(obj["hashtags"])
 
     mentions = obj["mentions"]
@@ -201,7 +210,7 @@ def _parse_line(line: str) -> tuple[str, list[str], tuple, int]:
     fields = (tweet_id, author_id, text, hashtags, mentions, retweet_of)
     # a lone surrogate cannot be written back as UTF-8; raw lines are valid
     # UTF-8, so only a \u escape can make one
-    if "\\u" in line:
+    if "\\" in line and "\\u" in line:  # a one-character search is a memchr, far cheaper
         for name, value in zip(TweetRecord._fields, fields):
             for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, str) and _SURROGATE.search(item):
@@ -231,8 +240,9 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     tag that can never match, before any file is read; ``OSError`` if a file
     is unreadable; :class:`CorpusFormatError` when more than half of a file's
     non-empty lines are invalid (wrong-format guard). Equal ids and tags of
-    the kept records are one ``str`` object. Every line is validated in full;
-    a record is built only for a line that is kept.
+    the kept records are one ``str`` object. Every line is validated in full,
+    but each date and hour of a timestamp is parsed once per call; a record is
+    built only for a line that is kept.
     """
     wanted = None if hashtag is None else _stored_tag(hashtag)
     if hashtag is not None and wanted is None:
@@ -242,6 +252,7 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
     invalid: list[LineError] = []
     unknown_keys = 0
     last_file: dict[str, int] = {}  # tweet_id -> index of the last file that held it
+    hours: set[str] = set()  # heads of the stamps that passed in full, for _parse_line
 
     for index, path in enumerate(paths):
         before = len(invalid)
@@ -260,7 +271,7 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                     continue
                 non_empty += 1
                 try:
-                    tweet_id, hashtags, fields, unknown = _parse_line(line)
+                    tweet_id, hashtags, fields, unknown = _parse_line(line, hours)
                 except ValueError as err:
                     invalid.append(LineError(line_no, str(err)))
                     continue

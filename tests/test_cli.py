@@ -595,6 +595,20 @@ def test_plot_missing_bundle_dir_is_io_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plot_that_writes_nothing_creates_no_out_dir(tmp_path, capsys):
+    bundle, out = tmp_path / "bad", tmp_path / "new" / "svg"
+    bundle.mkdir()
+    (bundle / "ck_curve.csv").write_bytes(b"degree,count\n1,abc\n")
+    assert main(["plot", str(bundle), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 5 and "could not convert string to float: 'abc'" in err
+    assert not (tmp_path / "new").exists()
+    # the directory appears with the first SVG
+    (bundle / "polarity_series.csv").write_text("index,polarity\n0,0.5\n", encoding="utf-8")
+    assert main(["plot", str(bundle), "--out", str(out)]) == 1
+    assert sorted(path.name for path in out.iterdir()) == ["polarity_series.svg"]
+
+
 BAD_SERIES = {
     "empty": (b"", "1: no header"),
     "bom_only": (b"\xef\xbb\xbf", "1: no header"),

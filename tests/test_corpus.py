@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import herdpulse.corpus as corpus
 from herdpulse import load_corpora
 from herdpulse.corpus import (
     REQUIRED_KEYS,
@@ -243,6 +244,15 @@ def test_surrogate_pair_escape_and_unknown_key_surrogate_are_kept(corpus_file):
     result = load_corpora([path])
     assert result.invalid == []
     assert result.records[0].text == "\U0001f600"
+
+
+@pytest.mark.parametrize("text", ['say "hi"', "C:\\users", "a literal \\u0041", "\\\\u", "\\"])
+def test_backslash_without_a_u_escape_is_kept(corpus_file, text):
+    line = record_line(text=text)
+    assert "\\" in line and "\\u" not in line.replace("\\\\", "")  # escaped quotes and backslashes only
+    result = load_corpora([corpus_file([line])])
+    assert result.invalid == []
+    assert [record.text for record in result.records] == [text]
 
 
 def test_timestamp_drops_microseconds_after_conversion(corpus_file):
@@ -602,6 +612,10 @@ CORPUS_FILES = st.lists(st.lists(rarely(SIMPLE_LINES, corpus_lines()), max_size=
 @example([[record_line(tweet_id="t1")], [record_line(tweet_id="t1", hashtags=["x"])]], "x")
 @example([[record_line(tweet_id="t1")], [record_line(tweet_id="t1"), record_line(tweet_id="t1")]], None)
 def test_load_corpora_matches_load_merge_filter(files, tag):
+    _assert_matches_reference_files(files, tag)
+
+
+def _assert_matches_reference_files(files: list[list[str]], tag: str | None) -> None:
     expected = reference_load_files(files, tag)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / f"corpus{i}.jsonl" for i in range(len(files))]
@@ -685,3 +699,79 @@ def test_timestamp_outside_the_grammar_is_a_line_error(corpus_file, stamp):
     result = load_corpora([path])
     assert _kept_ids(result) == ["t0"]
     assert result.invalid == [LineError(2, f"timestamp not ISO-8601: {stamp!r}")]
+
+
+@st.composite
+def same_hour_stamps(draw):
+    """A stamp of RFC 3339 shape, sometimes with a leading space, a bad date or
+    hour 24, and a second stamp with the same first 14 characters."""
+    stamp = "{}{}{}{:02d}:{:02d}:{:02d}{}{}".format(
+        draw(rarely(st.just(""), st.just(" "))),
+        draw(st.sampled_from(["2021-03-01", "2020-02-29", "2021-02-29", "0000-01-01", "0001-01-01", "9999-12-31"])),
+        draw(st.sampled_from("Tt ")),
+        draw(st.integers(0, 24)),
+        draw(st.integers(0, 59)),
+        draw(st.integers(0, 59)),
+        draw(st.sampled_from(["", ".5", ".123456789"])),
+        draw(st.sampled_from(["Z", "z", "", "+01:00", "-01:00"])),
+    )
+    rest = draw(
+        st.sampled_from(["00:00Z", "59:59.5z", ":00:00Z", "00:00", "00:00+01:00", "60:00Z", "00:00Z ", "0:00Z"])
+        | st.text("0123456789:.+-Zz ", max_size=12)
+    )
+    return stamp, stamp[:14] + rest
+
+
+@given(st.lists(same_hour_stamps(), min_size=1, max_size=6), st.booleans(), st.booleans())
+@example([(" 2021-03-01T10:00:00Z", " 2021-03-01T1000:00Z")], True, False)  # a leading space
+@example(  # a 't' and a space separator
+    [("2021-03-01t10:00:00Z", "2021-03-01t10:30:00Z"), ("2021-03-01 10:00:00Z", "2021-03-01 10:59:59Z")], True, True
+)
+@example(  # hour 24 after a valid hour 23
+    [("2021-03-01T23:00:00Z", "2021-03-01T23:59:59Z"), ("2021-03-01T24:00:00Z", "2021-03-01T24:00:00Z")], True, False
+)
+@example([("2021-02-29T10:00:00Z", "2021-02-29T10:00:01Z")], True, False)
+@example([("0000-01-01T00:00:00Z", "0000-01-01T00:00:01Z")], True, False)
+@example(  # a '+' offset that overflows before year 1, and one that does not
+    [("0001-01-01T00:00:00+01:00", "0001-01-01T00:00:00Z"), ("0001-01-01T05:00:00+01:00", "0001-01-01T05:59:59Z")],
+    True,
+    True,
+)
+@example([("2021-03-01T10:00:00.123Z", "2021-03-01T10:00:00.5Z")], True, False)  # a fraction
+@example([("2021-03-01T10:00:00z", "2021-03-01T10:59:59z")], True, False)  # a lower-case z
+@example([("2021-03-01T10:00:00Z", "2021-03-01T10:00:00.5z")], False, False)  # no valid stamp of the hour before
+def test_stamps_of_a_seen_hour_match_reference_ingestion(pairs, valid_first, two_files):
+    stamps = [stamp for pair in pairs for stamp in (pair if valid_first else pair[::-1])]
+    # a valid line after each drawn one keeps every file under the invalid-line limit
+    lines = [
+        line
+        for i, stamp in enumerate(stamps)
+        for line in (record_line(tweet_id=f"t{i}", timestamp=stamp), record_line(tweet_id=f"pad{i}"))
+    ]
+    cut = len(lines) // 4 * 2 if two_files else len(lines)  # the hours seen in one file serve the next
+    _assert_matches_reference_files([lines[:cut], lines[cut:]], None)
+
+
+def test_each_hour_is_parsed_in_full_once(corpus_file, monkeypatch):
+    calls = []
+    parse = corpus._parse_timestamp
+    monkeypatch.setattr(corpus, "_parse_timestamp", lambda value: calls.append(value) or parse(value))
+    heads = [f"2021-03-0{day}{sep}{hour:02d}:" for day in (1, 2) for sep in "T " for hour in (0, 9, 23)]
+    same_hour = [head + rest for head in heads for rest in ("00:00Z", "30:15z", "59:59.5Z")]
+    # an offset, trailing space, hour 24 and second 60 are parsed in full every time
+    in_full = ["2021-03-01T09:00:00+01:00", "2021-03-01T09:00:00Z ", "2021-03-01T24:00:00Z", "2021-03-01T09:00:60Z"]
+    in_full *= 2
+    stamps = same_hour + in_full
+    result = load_corpora([corpus_file([record_line(tweet_id=f"t{i}", timestamp=s) for i, s in enumerate(stamps)])])
+    assert len(result.records) == len(stamps) - 4
+    assert calls == [head + "00:00Z" for head in heads] + in_full
+
+
+def test_a_load_leaves_no_state_in_the_module(corpus_file):
+    def state():
+        return {name: repr(value) for name, value in vars(corpus).items() if not name.startswith("__")}
+
+    before = state()
+    lines = [record_line(tweet_id=f"t{i}", text="\\u", timestamp=f"2021-03-01T{i:02d}:00:00Z") for i in range(24)]
+    assert len(load_corpora([corpus_file(lines)]).records) == 24
+    assert state() == before

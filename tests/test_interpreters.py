@@ -62,12 +62,13 @@ def _interpreter(version: str) -> str | None:
 
 def _small_corpus(path: Path) -> None:
     """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub, tags whose lowercase moved,
-    a CRLF line, a tab before a record, two values on one line, and a text holding an LF and a CR
-    (JSON escapes) and an "htt#p" that only a second cleaning pass removes."""
-    def line(i, author, text, hashtags=(), mentions=(), retweet_of=None):
+    a CRLF line, a tab before a record, two values on one line, a text holding an LF and a CR
+    (JSON escapes) and an "htt#p" that only a second cleaning pass removes, and stamps in an hour
+    seen before: with a fraction, a 'z', a space separator, and hour 24 after hour 23."""
+    def line(i, author, text, hashtags=(), mentions=(), retweet_of=None, timestamp=None):
         obj = {
             "tweet_id": f"t{i}", "author_id": author, "text": text,
-            "timestamp": f"2021-03-0{1 + i % 9}T1{i % 10}:00:00Z", "hashtags": list(hashtags),
+            "timestamp": timestamp or f"2021-03-0{1 + i % 9}T1{i % 10}:00:00Z", "hashtags": list(hashtags),
             "mentions": list(mentions), "retweet_of": retweet_of, "follower_count": 10 * i,
         }
         return json.dumps(obj, ensure_ascii=False)
@@ -90,6 +91,12 @@ def _small_corpus(path: Path) -> None:
         "\t" + line(12, "u3", "indented by a tab", ["votey"], ["u2"]),
         "{} {}",
         line(13, "u4", "good start\nbad end\rnot great htt#p://x.y win", ["rally"], ["hub", "u1"]),
+        line(14, "u5", "a fraction in the hour of t5", ["rally"], ["hub"], timestamp="2021-03-06T15:30:00.25Z"),
+        line(15, "u6", "a lower-case z", ["votey"], ["u5"], timestamp="2021-03-06T15:59:59z"),
+        line(16, "u7", "a space separator", [], ["hub"], timestamp="2021-03-06 15:00:00Z"),
+        line(17, "u8", "the same hour again", ["partyx"], ["u7"], timestamp="2021-03-06 15:45:00.5Z"),
+        line(18, "u1", "the last hour of a day", ["rally"], ["hub"], timestamp="2021-03-07T23:00:00Z"),
+        line(19, "u2", "no hour 24", ["rally"], ["hub"], timestamp="2021-03-07T24:00:00Z"),
     ]
     path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
 
@@ -154,7 +161,8 @@ def _run_all(python: str, inputs: Path, work: Path) -> dict:
     run("cli modules", "-c", "import sys, herdpulse.cli; print(sorted(m for m in sys.modules if 'herdpulse' in m))")
     for label in ("bad", "hand"):
         run(f"{label} plot", "-m", "herdpulse.cli", "plot", str(inputs / label), "--out", label)
-        for path in sorted((work / label).iterdir()):
+        out = work / label
+        for path in sorted(out.iterdir()) if out.is_dir() else []:
             seen[f"{label}/{path.name}"] = path.read_bytes()
     for label, corpus in corpora.items():
         run(f"{label} validate", "-m", "herdpulse.cli", "validate", "--corpus", str(corpus))
@@ -204,7 +212,7 @@ def test_every_interpreter_writes_the_same_bytes(version, inputs, reference):
     assert not differ, f"{python} differs from python{running} in {differ}"
 
 
-def test_reference_runs_cover_every_output(reference):
+def test_reference_runs_cover_every_output(inputs, reference):
     _oracle_agrees(reference)
     for label in ("demo", "small", "cased"):
         assert reference[f"{label} analyze"][0] == 0
@@ -214,6 +222,7 @@ def test_reference_runs_cover_every_output(reference):
     assert ":7: invalid JSON: Expecting value" in stdout
     assert ":8: duplicate tweet_id: 't2'" in stdout
     assert ":16: invalid JSON: Extra data" in stdout
+    assert ":23: timestamp not ISO-8601: '2021-03-07T24:00:00Z'" in stdout
     # only the two records tagged U+2C5F itself pass --hashtag U+2C5F; U+2C2F is not folded to it
     cased = json.loads(reference["cased/manifest.json"])
     assert cased["stage_counts"]["after_hashtag_filter"] == 2
@@ -228,6 +237,7 @@ def test_reference_runs_cover_every_output(reference):
     ]
     bad = [line.split(".csv:", 1)[1] for line in reference["bad plot"][2].decode("utf-8").splitlines()]
     assert reference["bad plot"][:2] == (1, b"") and not any(key.startswith("bad/") for key in reference)
+    assert not (inputs / "running" / "bad").exists()
     assert bad == [
         "1: line contains NUL",
         "3: line contains NUL",
