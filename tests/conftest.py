@@ -31,11 +31,16 @@ def make_loaded(records):
     return LoadResult(tuple(records), [], 0, loaded_records=len(records))
 
 
-def graph_from_edges(edges, isolated=()):
-    """``build_graph`` over one record per isolated node and one mention per edge."""
+def edge_records(edges, isolated=()):
+    """One record per isolated node, then one mention per edge."""
     records = [make_record(tweet_id=f"n{i}", author_id=node) for i, node in enumerate(isolated)]
     records += [make_record(tweet_id=f"e{i}", author_id=a, mentions=[b]) for i, (a, b) in enumerate(edges)]
-    return build_graph(records)
+    return records
+
+
+def graph_from_edges(edges, isolated=()):
+    """``build_graph`` over ``edge_records(edges, isolated)``."""
+    return build_graph(edge_records(edges, isolated))
 
 
 def record_line(

@@ -4,17 +4,18 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from herdpulse import build_graph, clustering_stats, load_config
+from herdpulse import build_graph, clustering_stats, load_config, load_corpora
 from herdpulse import graph as graph_module
 from herdpulse import pipeline
 
-from .conftest import graph_from_edges, make_loaded, make_record
+from .conftest import edge_records, graph_from_edges, make_loaded, make_record
 from .oracles import (
     adjacency,
     brute_force_counts,
@@ -38,10 +39,20 @@ K4_MINUS = graph_from_edges(
 )
 
 
+def assert_oriented(graph, adj):
+    """``graph`` holds ``adj`` oriented by ``(degree, name)``: out-sets in rank
+    order, degrees in name order."""
+    ranked = sorted(adj, key=lambda node: (len(adj[node]), node))
+    rank = {node: i for i, node in enumerate(ranked)}
+    out = [(node, {other for other in adj[node] if rank[other] > rank[node]}) for node in ranked]
+    assert list(graph.out.items()) == out
+    assert list(graph.degrees.items()) == [(node, len(adj[node])) for node in sorted(adj)]
+
+
 def test_build_graph_mention_edge():
     graph = build_graph([make_record(author_id="a", mentions=["b"])])
     assert graph.nodes() == ["a", "b"]
-    assert graph._adj == {"a": {"b"}, "b": {"a"}}
+    assert_oriented(graph, {"a": {"b"}, "b": {"a"}})
 
 
 def test_build_graph_self_retweet_dropped():
@@ -57,7 +68,7 @@ def test_build_graph_undirected_dedup():
             make_record(tweet_id="t2", author_id="b", retweet_of="a"),
         ]
     )
-    assert graph._adj == {"a": {"b"}, "b": {"a"}}
+    assert_oriented(graph, {"a": {"b"}, "b": {"a"}})
     assert graph.edge_count() == 1
 
 
@@ -208,9 +219,9 @@ def test_one_analysis_counts_clustering_once(monkeypatch):
         calls["stats"] += 1
         return real_stats(graph)
 
-    def counting_oriented(graph):
+    def counting_oriented(adj):
         calls["oriented"] += 1
-        return real_oriented(graph)
+        return real_oriented(adj)
 
     monkeypatch.setattr(pipeline, "clustering_stats", counting_stats)
     monkeypatch.setattr(graph_module, "_oriented", counting_oriented)
@@ -251,12 +262,7 @@ def test_build_graph_matches_add_edge_order():
             if other != author:
                 expected[author].add(other)
                 expected.setdefault(other, set()).add(author)
-    built = build_graph(records)
-    assert list(built._adj.items()) == list(expected.items())
-
-
-def named_out_sets(graph):
-    return graph_module._oriented(graph)
+    assert_oriented(build_graph(records), expected)
 
 
 def star(leaves):
@@ -271,7 +277,7 @@ def star(leaves):
 )
 def test_orientation_keeps_each_edge_once_within_sqrt_2e(edges):
     adj = adjacency(edges)
-    out = named_out_sets(graph_from_edges(edges))
+    out = graph_from_edges(edges).out
     assert sorted(out) == sorted(adj)
     for a, b in edges:
         assert (b in out[a]) != (a in out[b])
@@ -362,9 +368,20 @@ def test_random_edge_lists_match_brute_force(case):
 AUTHORS = st.sampled_from(["a", "b", "c", "d", "e"])
 
 
+def assert_graph_api_matches_stats(records, adj):
+    # bench/tracer.py reads the traced run's graph counts through this API
+    graph = build_graph(records)
+    stats = clustering_stats(graph)
+    assert len(graph) == len(stats.degree) == len(adj)
+    assert graph.nodes() == list(stats.degree) == sorted(adj)
+    for node in adj:
+        assert graph.degree(node) == stats.degree[node] == len(adj[node])
+    assert graph.edge_count() == stats.edges == brute_force_edge_count(adj)
+
+
 @given(st.lists(st.tuples(AUTHORS, st.lists(AUTHORS, max_size=4), st.none() | AUTHORS), min_size=1, max_size=20))
 def test_bundle_graph_counts_are_distinct_nodes_and_pairs(rows):
-    # few authors, so self-mentions, self-retweets and repeated pairs are common
+    # few authors, so self-mentions, self-retweets, repeated pairs and isolated nodes are common
     records = [
         make_record(tweet_id=f"t{i}", author_id=author, mentions=mentions, retweet_of=retweet)
         for i, (author, mentions, retweet) in enumerate(rows)
@@ -380,6 +397,36 @@ def test_bundle_graph_counts_are_distinct_nodes_and_pairs(rows):
         counts = json.loads(manifest.read_text(encoding="utf-8"))["stage_counts"]
     assert (summary["nodes"], summary["edges"]) == (len(nodes), len(pairs))
     assert (counts["graph_nodes"], counts["graph_edges"]) == (len(nodes), len(pairs))
+    assert_graph_api_matches_stats(records, adjacency(targets, [author for author, _, _ in rows]))
+
+
+def test_graph_api_matches_stats_on_demo_corpus():
+    records = load_corpora([Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_tweets.jsonl"]).records
+    pairs = [(r.author_id, other) for r in records for other in [*r.mentions, r.retweet_of] if other]
+    assert pairs
+    assert_graph_api_matches_stats(records, adjacency(pairs, [r.author_id for r in records]))
+
+
+@pytest.mark.parametrize("edges", [star(20_000), complete(150, "k")], ids=["star_20k", "k150"])
+def test_graph_stage_peak_stays_within_one_and_three_quarter_adjacencies(edges):
+    # The out-sets are made while the neighbor sets are freed, so the stage
+    # never holds a full adjacency and a full oriented copy at once.
+    tracemalloc.start()
+    try:
+        adj = adjacency(edges)
+        adjacency_size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del adj
+    records = edge_records(edges)
+    tracemalloc.start()
+    try:
+        stats = clustering_stats(build_graph(records))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.edges == len(edges)
+    assert peak <= 1.75 * adjacency_size
 
 
 def test_write_bundle_encodes_every_file_before_writing_any(tmp_path):
