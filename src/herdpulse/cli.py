@@ -159,6 +159,7 @@ def cmd_plot(args) -> int:
     out = Path(args.out) if args.out else bundle
 
     status = EXIT_OK
+    placed = {}  # the series CSVs share their index column, ck_curve and degree_distribution their degrees
     for name, (title, x_label, y_label) in PLOT_SERIES.items():
         source = bundle / name
         if not source.exists():
@@ -171,7 +172,7 @@ def cmd_plot(args) -> int:
             _fail(str(err))
             status = EXIT_DATA
             continue
-        svg = render_scatter(list(zip(header[1:], columns[1:])), columns[0], title, x_label, y_label)
+        svg = render_scatter(list(zip(header[1:], columns[1:])), columns[0], title, x_label, y_label, placed)
         out.mkdir(parents=True, exist_ok=True)  # only once there is an SVG to write
         target = out / (name[: -len(".csv")] + ".svg")
         target.write_text(svg, encoding="utf-8")

@@ -1,21 +1,21 @@
 """End-to-end analysis run and deterministic report-bundle emission.
 
 Everything written here is a pure function of the load, the config and the
-data files: CSVs use LF endings and fixed 6-decimal values, JSON documents are
-key-sorted with floats pre-formatted as 6-decimal strings, and the manifest
-carries a sha256 per emitted file. Two runs over the same inputs must produce
-byte-identical bundles.
+data files: CSVs use LF endings, RFC 4180 quoting and fixed 6-decimal values on
+every interpreter, JSON documents are key-sorted with floats pre-formatted as
+6-decimal strings, and the manifest carries a sha256 per emitted file. Two
+runs over the same inputs must produce byte-identical bundles.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
+import re
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig
@@ -36,6 +36,7 @@ from .sentiment import CorpusSummary, SentimentScore, score_tokens, summarize
 PIPELINE_VERSION = f"herdpulse {__version__}"
 
 NO_CAMP_SIGNAL = "no camp signal"
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def fixed(value: float) -> str:
@@ -92,12 +93,15 @@ def analyze_corpus(loaded: LoadResult, config: RunConfig) -> AnalysisResult:
     )
 
 
-def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _quoted(cells: list[str]) -> list[str]:
+    return ['"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell for cell in cells]
+
+
+def _csv_text(header: list[str], columns: list[list[str]]) -> str:
+    """Two or more equal-length columns as rows ending in LF; a cell holding ``,``, ``"``, CR or LF is
+    quoted, its ``"`` doubled (RFC 4180 and 3.13's ``csv.writer``; 3.10-3.12's leave a lone CR bare)."""
+    columns = [_quoted(column) if _NEEDS_QUOTES.search("".join(column)) else column for column in columns]
+    return "\n".join([",".join(_quoted(header)), *map(",".join, zip(*columns)), ""])
 
 
 def _plain(value):
@@ -129,7 +133,7 @@ def formatted_scores(scores: list[SentimentScore]) -> tuple[list[str], list[str]
 def scores_csv(scores: list[SentimentScore], polarities: list[str], subjectivities: list[str]) -> str:
     return _csv_text(
         ["tweet_id", "polarity", "subjectivity", "label"],
-        zip([s.tweet_id for s in scores], polarities, subjectivities, [s.label for s in scores]),
+        [[s.tweet_id for s in scores], polarities, subjectivities, [s.label for s in scores]],
     )
 
 
@@ -150,10 +154,8 @@ def bundle_files(result: AnalysisResult) -> dict[str, str]:
     stats = result.stats
     polarities, subjectivities = formatted_scores(result.scores)
     index = list(map(str, range(len(result.scores))))
-
-    degree_counts: dict[int, int] = {}
-    for k in stats.degree.values():
-        degree_counts[k] = degree_counts.get(k, 0) + 1
+    counts = Counter(stats.degree.values())
+    degrees = [str(k) for k, _ in stats.ck_curve]  # ck_curve holds every degree of the graph, ascending
 
     files: dict[str, str] = {}
     files["scores.csv"] = scores_csv(result.scores, polarities, subjectivities)
@@ -166,17 +168,13 @@ def bundle_files(result: AnalysisResult) -> dict[str, str]:
         }
     )
     files["degree_distribution.csv"] = _csv_text(
-        ["degree", "count"],
-        ((str(k), str(degree_counts[k])) for k in sorted(degree_counts)),
+        ["degree", "count"], [degrees, [str(counts[k]) for k, _ in stats.ck_curve]]
     )
-    files["ck_curve.csv"] = _csv_text(
-        ["degree", "mean_clustering"],
-        ((str(k), fixed(c)) for k, c in stats.ck_curve),
-    )
-    files["subjectivity_series.csv"] = _csv_text(["index", "subjectivity"], zip(index, subjectivities))
-    files["polarity_series.csv"] = _csv_text(["index", "polarity"], zip(index, polarities))
+    files["ck_curve.csv"] = _csv_text(["degree", "mean_clustering"], [degrees, [fixed(c) for _, c in stats.ck_curve]])
+    files["subjectivity_series.csv"] = _csv_text(["index", "subjectivity"], [index, subjectivities])
+    files["polarity_series.csv"] = _csv_text(["index", "polarity"], [index, polarities])
     files["combined_series.csv"] = _csv_text(
-        ["index", "subjectivity", "polarity"], zip(index, subjectivities, polarities)
+        ["index", "subjectivity", "polarity"], [index, subjectivities, polarities]
     )
     files["herd_report.json"] = _json_text(result.herd)
     files["prediction.json"] = _prediction_json(result)
@@ -194,7 +192,8 @@ def write_bundle(
     only once all of them are written; a failure removes the temporary files.
     """
     loaded = result.loaded
-    contents = {name: text.encode("utf-8") for name, text in sorted(bundle_files(result).items())}
+    files = bundle_files(result)
+    contents = {name: files.pop(name).encode("utf-8") for name in sorted(files)}
     emitted = [{"name": name, "sha256": hashlib.sha256(data).hexdigest()} for name, data in contents.items()]
     manifest = {
         "pipeline_version": PIPELINE_VERSION,

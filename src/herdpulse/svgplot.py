@@ -1,9 +1,8 @@
 """Minimal deterministic SVG scatter rendering.
 
-Hand-rolled on purpose: the report bundle must be byte-identical across runs
-and platforms, so every coordinate is emitted with fixed two-decimal
-formatting and nothing (ids, timestamps, library versions) leaks into the
-output.
+Hand-rolled on purpose: the report bundle must be byte-identical across runs and platforms, so
+every coordinate is emitted with fixed two-decimal formatting and nothing (ids, timestamps, library
+versions) leaks into the output. Plots that share a ``placed`` dict place each x column once.
 """
 
 import math
@@ -25,23 +24,27 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _axis(values: list[float], start: float, length: float) -> tuple[float, float, dict[float, str]]:
-    """``(low, high, text)``: an axis range covering the data, and each distinct value's coordinate as text.
-
-    Empty data maps to [0, 1]; a constant column widens by 0.5 each way, or by one float step
-    towards 0 where 0.5 rounds away. Where ``high - low`` overflows, values are placed halved:
-    halving is exact for normal floats and keeps every difference finite. Each distinct value
-    is placed and formatted once; 0.0 and -0.0 share a key, which is exact, because ``start``
-    is never 0 and both zeros place at ``start`` plus a zero.
-    """
+def _range(values: list[float]) -> tuple[float, float]:
+    """An axis range covering the data: [0, 1] if empty, a constant widened by 0.5 each way or,
+    where 0.5 rounds away, by one float step towards 0."""
     low, high = (min(values), max(values)) if values else (0.0, 1.0)
     if low == high:
         low, high = low - 0.5, high + 0.5
     if low == high:
         low, high = sorted((low, math.nextafter(low, 0.0)))
+    return low, high
+
+
+def _place(values: list[float], low: float, high: float, start: float, length: float) -> dict[float, str]:
+    """Each distinct value's coordinate on the axis ``low``-``high`` as text, placed and formatted once.
+
+    Where ``high - low`` overflows, values are placed halved: halving is exact for normal floats
+    and keeps every difference finite. The sign of a zero, as a value or as ``low`` or ``high``,
+    moves no coordinate (``start`` is never 0), so 0.0 and -0.0 may share a key and a placement.
+    """
     unit = 1.0 if math.isfinite(high - low) else 0.5
     offset, span = low * unit, high * unit - low * unit
-    return low, high, {value: f"{start + (value * unit - offset) / span * length:.2f}" for value in set(values)}
+    return {value: f"{start + (value * unit - offset) / span * length:.2f}" for value in set(values)}
 
 
 def render_scatter(
@@ -50,21 +53,26 @@ def render_scatter(
     title: str,
     x_label: str,
     y_label: str,
+    placed: dict[tuple[float, ...], list[str]] | None = None,
 ) -> str:
     """SVG document with axes, labels and one circle per data point.
 
     ``series`` holds ``(label, y values)`` pairs that share the x values ``x``.
     An entirely empty series list still renders axes over a [0, 1] x [0, 1]
-    frame, so "no data" plots are valid documents.
+    frame, so "no data" plots are valid documents. ``placed`` maps an x column
+    to its circles' x coordinates: a caller that draws several plots over equal
+    x columns passes one dict to all of them, and each column is placed once.
     """
-    title = _escape(title)
-    x_label = _escape(x_label)
-    y_label = _escape(y_label)
+    title, x_label, y_label = map(_escape, (title, x_label, y_label))
     x = x if series else []  # no series, no point: the x range is empty
     all_y = list(chain.from_iterable(values for _, values in series))
-    x_min, x_max, x_text = _axis(x, MARGIN, WIDTH - 2 * MARGIN)
-    y_min, y_max, y_text = _axis(all_y, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
-    cx = list(map(x_text.__getitem__, x))
+    x_min, x_max = _range(x)
+    y_min, y_max = _range(all_y)
+    placed = {} if placed is None else placed
+    if (key := tuple(x)) not in placed:
+        placed[key] = list(map(_place(x, x_min, x_max, MARGIN, WIDTH - 2 * MARGIN).__getitem__, x))
+    cx = placed[key]
+    y_text = _place(all_y, y_min, y_max, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -97,7 +105,7 @@ def render_scatter(
     for index, (label, values) in enumerate(series):
         color = SERIES_COLORS[index % len(SERIES_COLORS)]
         tail = f' r="3.00" fill="{color}" fill-opacity="0.75"/>'
-        out += [f'<circle cx="{x_at}" cy="{y_text[y]}"{tail}' for x_at, y in zip(cx, values)]
+        out += [f'<circle cx="{x_at}" cy="{y_at}"{tail}' for x_at, y_at in zip(cx, map(y_text.__getitem__, values))]
         if len(series) > 1:
             out.append(
                 f'<text x="{_fmt(WIDTH - MARGIN)}" y="{_fmt(MARGIN + 16 * index)}" '
@@ -105,5 +113,5 @@ def render_scatter(
                 f'fill="{color}">{_escape(label)}</text>'
             )
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -9,15 +11,19 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from herdpulse import cli, pipeline
+from herdpulse import cli, pipeline, svgplot
 from herdpulse.cli import PLOT_SERIES, main
+from herdpulse.config import load_config
 from herdpulse.herd import AuthorProfile, BandStat, CampResult, HerdReport, PredictionReport
 
-from .conftest import record_line
+from .conftest import make_loaded, make_record, record_line
 from .oracles import reference_svg
 
 REPO = Path(__file__).resolve().parent.parent
@@ -458,6 +464,62 @@ def test_bundle_json_keys_are_the_record_fields(tmp_path):
     assert [set(camp) for camp in prediction["camps"]] == [set(CampResult._fields)] * 2
 
 
+def test_bundle_csvs_read_back_cell_for_cell(tmp_path):
+    """Ids that hold CR, LF, ``,`` and ``"`` come back from every bundle CSV through ``csv.reader``."""
+    ids = ["t\r1", "t\n2", "t\r\n3", "t,4", 't"5"', '"', "t 6 \u00e9"]
+    texts = ("good news", "bad news", "a plain day")
+    records = [
+        make_record(tweet_id=tweet_id, author_id=f"a{i % 3}", text=texts[i % 3], mentions=[f"a{(i + 1) % 4}"])
+        for i, tweet_id in enumerate(ids)
+    ]
+    result = pipeline.analyze_corpus(make_loaded(records), load_config(DEMO_CONFIG))
+    scores, stats, fixed = result.scores, result.stats, pipeline.fixed
+    index = [str(i) for i in range(len(scores))]
+    subjectivities = [fixed(s.subjectivity) for s in scores]
+    polarities = [fixed(s.polarity) for s in scores]
+    degrees = list(stats.degree.values())
+    expected = {
+        "scores.csv": [
+            ["tweet_id", "polarity", "subjectivity", "label"],
+            *([s.tweet_id, fixed(s.polarity), fixed(s.subjectivity), s.label] for s in scores),
+        ],
+        "subjectivity_series.csv": [["index", "subjectivity"], *map(list, zip(index, subjectivities))],
+        "polarity_series.csv": [["index", "polarity"], *map(list, zip(index, polarities))],
+        "combined_series.csv": [
+            ["index", "subjectivity", "polarity"], *map(list, zip(index, subjectivities, polarities))
+        ],
+        "degree_distribution.csv": [
+            ["degree", "count"], *([str(k), str(degrees.count(k))] for k in sorted(set(degrees)))
+        ],
+        "ck_curve.csv": [["degree", "mean_clustering"], *([str(k), fixed(c)] for k, c in stats.ck_curve)],
+    }
+    assert [s.tweet_id for s in scores] == ids
+    files = pipeline.bundle_files(result)
+    assert sorted(name for name in files if name.endswith(".csv")) == sorted(expected)
+    for name, rows in expected.items():
+        assert list(csv.reader(io.StringIO(files[name], newline=""))) == rows, name
+
+
+# cells with every character RFC 4180 quotes for, spaces, line separators csv leaves alone, and non-ASCII
+CELL = st.text(
+    st.sampled_from(',"\r\n \x85\u2028a\u00e9\u4e2d') | st.characters(blacklist_characters="\x00"), max_size=5
+)
+
+
+@given(st.data())
+def test_csv_text_round_trips_and_matches_csv_writer_without_cr(data):
+    width, length = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 5))
+    header = data.draw(st.lists(CELL, min_size=width, max_size=width))
+    columns = [data.draw(st.lists(CELL, min_size=length, max_size=length)) for _ in range(width)]
+    text = pipeline._csv_text(header, columns)
+    rows = [header, *map(list, zip(*columns))]
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+    if "\r" not in "".join(chain(header, *columns)):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert text == expected.getvalue()
+
+
 # case -> (command, --hashtag value)
 NO_TAG = {
     "analyze": ("analyze", "#"),
@@ -545,6 +607,32 @@ def test_plot_full_bundle(tmp_path):
         "polarity_series.svg",
         "subjectivity_series.svg",
     ]
+
+
+def test_plot_places_each_x_column_once(tmp_path, monkeypatch):
+    """The three tweet series share one index column and the two degree CSVs one degree column."""
+    place, placed = svgplot._place, []
+
+    def counting(values, low, high, start, length):
+        if start == svgplot.MARGIN:
+            placed.append(tuple(values))
+        return place(values, low, high, start, length)
+
+    monkeypatch.setattr(svgplot, "_place", counting)
+    before = dict(vars(svgplot))
+    assert main(["plot", GOLDEN_BUNDLE, "--out", str(tmp_path)]) == 0
+    assert dict(vars(svgplot)) == before  # no placement outlives the run
+    golden = Path(GOLDEN_BUNDLE)
+
+    def x_column(name):
+        rows = csv.reader(io.StringIO((golden / name).read_text(encoding="utf-8"), newline=""))
+        return tuple(float(row[0]) for row in list(rows)[1:])
+
+    assert x_column("subjectivity_series.csv") == x_column("polarity_series.csv") == x_column("combined_series.csv")
+    assert x_column("ck_curve.csv") == x_column("degree_distribution.csv")
+    assert Counter(placed) == {x_column("combined_series.csv"): 1, x_column("ck_curve.csv"): 1}
+    for svg in golden.glob("*.svg"):
+        assert (tmp_path / svg.name).read_bytes() == svg.read_bytes(), svg.name
 
 
 def test_plot_rerun_byte_identical(tmp_path):

@@ -64,7 +64,8 @@ def _small_corpus(path: Path) -> None:
     """A BOM, U+2028 in a text, trailing commas, a repeated id, a hub, tags whose lowercase moved,
     a CRLF line, a tab before a record, two values on one line, a text holding an LF and a CR
     (JSON escapes) and an "htt#p" that only a second cleaning pass removes, and stamps in an hour
-    seen before: with a fraction, a 'z', a space separator, and hour 24 after hour 23."""
+    seen before: with a fraction, a 'z', a space separator, and hour 24 after hour 23; last, a tweet id
+    holding a lone CR, which 3.10-3.12's csv.writer leaves unquoted and 3.13's quotes."""
     def line(i, author, text, hashtags=(), mentions=(), retweet_of=None, timestamp=None):
         obj = {
             "tweet_id": f"t{i}", "author_id": author, "text": text,
@@ -97,6 +98,7 @@ def _small_corpus(path: Path) -> None:
         line(17, "u8", "the same hour again", ["partyx"], ["u7"], timestamp="2021-03-06 15:45:00.5Z"),
         line(18, "u1", "the last hour of a day", ["rally"], ["hub"], timestamp="2021-03-07T23:00:00Z"),
         line(19, "u2", "no hour 24", ["rally"], ["hub"], timestamp="2021-03-07T24:00:00Z"),
+        line(20, "u3", "a lone carriage return in the id", ["rally"], ["hub"]).replace('"t20"', '"t\\r20"'),
     ]
     path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode("utf-8") + b"\n")
 

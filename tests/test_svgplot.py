@@ -24,3 +24,17 @@ def test_render_scatter_matches_point_by_point_oracle(data):
     labels = tuple(data.draw(st.text(max_size=6)) for _ in range(3))
     expected = reference_svg([(label, list(zip(x, ys))) for label, ys in series], *labels)
     assert render_scatter(series, x, *labels) == expected
+
+
+@given(st.data())
+def test_plots_that_share_a_placement_match_the_oracle(data):
+    """x columns equal but for the sign of their zeros share one placement; each plot keeps its own range labels."""
+    points = data.draw(st.integers(0, 6))
+    x = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | VALUES, min_size=points, max_size=points))
+    columns = [x, [-value if value == 0 else value for value in x], list(x)]
+    placed = {}
+    for column in columns:
+        series = [(label, data.draw(st.lists(VALUES, min_size=points, max_size=points))) for label in ("a", "b")]
+        expected = reference_svg([(label, list(zip(column, ys))) for label, ys in series], "t", "x", "y")
+        assert render_scatter(series, column, "t", "x", "y", placed) == expected
+    assert list(placed) == [tuple(x)]
