@@ -1,39 +1,14 @@
 """Command-line front end: validate, score, analyze, plot.
 
 Exit codes: 0 success, 1 data/validation failure, 2 I/O or config failure.
-A command imports the analysis modules it runs in its own body.
+A command imports the modules it runs in its own body; ``plot`` runs ``herdpulse.plot``.
 """
 
 import argparse
-import csv
 import gc
-import io
-import math
-import re
-import sys
-from itertools import chain
 from pathlib import Path
 
-from .inputs import ConfigError, CorpusFormatError, _read_text
-from .svgplot import render_scatter
-
-EXIT_OK = 0
-EXIT_DATA = 1
-EXIT_IO = 2
-
-# bundle CSVs cmd_plot knows how to render: name -> (title, x label, y label)
-PLOT_SERIES = {
-    "subjectivity_series.csv": ("Tweet subjectivity", "tweet index", "subjectivity"),
-    "polarity_series.csv": ("Tweet polarity", "tweet index", "polarity"),
-    "combined_series.csv": ("Subjectivity and polarity", "tweet index", "value"),
-    "ck_curve.csv": ("Clustering coefficient vs degree", "degree", "mean clustering"),
-    "degree_distribution.csv": ("Degree distribution", "degree", "node count"),
-}
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # XML 1.0 cannot hold these; UTF-8 gives no surrogate
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+from .inputs import EXIT_DATA, EXIT_IO, EXIT_OK, ConfigError, CorpusFormatError, _fail
 
 
 def _load_inputs(args):
@@ -112,72 +87,9 @@ def cmd_analyze(args) -> int:
     return EXIT_DATA
 
 
-def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
-    """Header and columns of finite numbers; raises ValueError as ``path:line: reason``.
-
-    The file is read as every other input is: UTF-8, a leading BOM ignored; a
-    NUL fails first, on 3.11+ as 3.10's csv fails it. Rows are transposed and
-    each column converted and checked in bulk. A file that fails is read again
-    row by row to name a line: the first where a header cell holds what XML
-    1.0 cannot (the SVG shows it) or a cell cannot be read or converted, else
-    the first row of the wrong width or with a number that is not finite.
-    """
-    text = _read_text(path)
-    if "\0" in text:
-        line = len(io.StringIO(text[: text.index("\0") + 1], newline="").readlines())
-        raise ValueError(f"{path}:{line}: line contains NUL")
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        if rows and rows[0] and set(map(len, rows)) == {len(rows[0])} and not _NOT_XML.search("".join(rows[0])):
-            # each column starts with its header cell
-            columns = [list(map(float, column[1:])) for column in zip(*rows)]
-            if all(map(math.isfinite, chain.from_iterable(columns))):
-                return rows[0], columns
-    except (ValueError, csv.Error):  # csv.Error: a cell past csv's field size limit
-        pass
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if bad := _NOT_XML.search("".join(header or "")):
-            raise ValueError(f"header holds {bad.group()!r}, which XML 1.0 cannot")
-        rows = [[float(cell) for cell in row] for row in reader] if header else []
-    except (ValueError, csv.Error) as err:
-        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    if not header:
-        raise ValueError(f"{path}:1: no header")
-    number, row = next(
-        (n, row) for n, row in enumerate(rows, 2) if len(row) != len(header) or not all(map(math.isfinite, row))
-    )
-    raise ValueError(f"{path}:{number}: expected {len(header)} finite numbers, got {row}")
-
-
 def cmd_plot(args) -> int:
-    bundle = Path(args.bundle_dir)
-    if not bundle.is_dir():
-        _fail(f"no such bundle directory: {bundle}")
-        return EXIT_IO
-    out = Path(args.out) if args.out else bundle
-
-    status = EXIT_OK
-    placed = {}  # the series CSVs share their index column, ck_curve and degree_distribution their degrees
-    for name, (title, x_label, y_label) in PLOT_SERIES.items():
-        source = bundle / name
-        if not source.exists():
-            _fail(f"missing CSV: {source}")
-            status = EXIT_DATA
-            continue
-        try:
-            header, columns = _read_series_csv(source)
-        except ValueError as err:
-            _fail(str(err))
-            status = EXIT_DATA
-            continue
-        svg = render_scatter(list(zip(header[1:], columns[1:])), columns[0], title, x_label, y_label, placed)
-        out.mkdir(parents=True, exist_ok=True)  # only once there is an SVG to write
-        target = out / (name[: -len(".csv")] + ".svg")
-        target.write_text(svg, encoding="utf-8")
-        print(f"wrote {target}")
-    return status
+    from .plot import plot_bundle
+    return plot_bundle(args.bundle_dir, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,10 @@
-"""The UTF-8 reader of every input file and the two failures ``cli.main`` maps to exit codes; imports nothing."""
+"""What every command shares: the UTF-8 file reader, the exit codes, the two failures mapped to them, ``_fail``."""
+
+import sys
+
+EXIT_OK = 0
+EXIT_DATA = 1
+EXIT_IO = 2
 
 
 class ConfigError(ValueError):
@@ -7,6 +13,10 @@ class ConfigError(ValueError):
 
 class CorpusFormatError(ValueError):
     """Raised when a corpus file as a whole is unusable."""
+
+
+def _fail(message: str) -> None:
+    print(f"error: {message}", file=sys.stderr)
 
 
 def _read_text(path) -> str:

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from herdpulse import cli, pipeline, svgplot
-from herdpulse.cli import PLOT_SERIES, main
+from herdpulse.cli import main
 from herdpulse.config import load_config
 from herdpulse.herd import AuthorProfile, BandStat, CampResult, HerdReport, PredictionReport
+from herdpulse.plot import PLOT_SERIES
 
 from .conftest import make_loaded, make_record, record_line
 from .oracles import reference_svg

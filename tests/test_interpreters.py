@@ -235,7 +235,7 @@ def test_reference_runs_cover_every_output(inputs, reference):
         assert len(names) == 15 and sum(name.endswith(".svg") for name in names) == 5
     assert reference["hand plot"][0] == 0
     assert reference["cli modules"][1].decode("ascii").split() == [
-        "['herdpulse',", "'herdpulse.cli',", "'herdpulse.inputs',", "'herdpulse.preprocess',", "'herdpulse.svgplot']"
+        "['herdpulse',", "'herdpulse.cli',", "'herdpulse.inputs',", "'herdpulse.preprocess']"
     ]
     bad = [line.split(".csv:", 1)[1] for line in reference["bad plot"][2].decode("utf-8").splitlines()]
     assert reference["bad plot"][:2] == (1, b"") and not any(key.startswith("bad/") for key in reference)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import shutil
@@ -32,7 +33,7 @@ EXPORTS = {
     "score_tokens",
     "summarize",
 }
-# modules that compute on values they are given; config, corpus, pipeline and cli do the file I/O
+# modules that compute on values they are given; config, corpus, pipeline, plot and cli do the file I/O
 PURE_MODULES = ["preprocess.py", "sentiment.py", "herd.py", "svgplot.py"]
 # none is needed to run herdpulse: xml.sax.saxutils pulls in the first four
 # through urllib, and one dataclass record pulls in the last two
@@ -42,6 +43,8 @@ UNUSED_BY_PLOT = (
     "herdpulse.config", "herdpulse.corpus", "herdpulse.sentiment", "herdpulse.graph", "herdpulse.herd",
     "herdpulse.pipeline", "hashlib", "json", "datetime",
 )
+# none is needed to check, score or analyze a corpus, or by the benchmark's setup code
+UNUSED_BY_ANALYSIS = ("herdpulse.svgplot", "herdpulse.plot", "csv")
 # prints the exit code of main(argv[2:]) and which modules of the comma-separated argv[1] it left unloaded
 RUN_AND_LIST = """
 import sys, herdpulse.cli
@@ -202,6 +205,16 @@ def test_validate_loads_the_loader_only():
     assert proc.stdout.splitlines()[-1] == "0 ['hashlib', 'herdpulse.config', 'herdpulse.pipeline']"
 
 
+@pytest.mark.parametrize("command", ["validate", "score", "analyze"])
+def test_analysis_commands_leave_the_plotting_code_unloaded(tmp_path, command):
+    args = ["--corpus", "demos/data/demo_tweets.jsonl"]
+    if command != "validate":
+        args += ["--config", "demos/data/demo_config.json", "--out", str(tmp_path)]
+    proc = _python("-c", RUN_AND_LIST, ",".join(UNUSED_BY_ANALYSIS), command, *args, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(UNUSED_BY_ANALYSIS)}"
+
+
 def test_bench_setup_code_runs():
     # bench/run.py times this code in fresh interpreters; it reaches herdpulse.config through the package
     tree = ast.parse((REPO / "bench" / "run.py").read_text(encoding="utf-8"))
@@ -210,9 +223,36 @@ def test_bench_setup_code_runs():
         for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]
     ]
+    code += f"print(sorted(m for m in {UNUSED_BY_ANALYSIS!r} if m not in sys.modules))\n"
     proc = _python("-c", code, "demos/data/demo_config.json", cwd=REPO)
     assert proc.returncode == 0, proc.stderr
-    assert Path(proc.stdout.split()[-1]) == SRC / "herdpulse" / "cli.py"
+    timing, unloaded = proc.stdout.splitlines()
+    assert Path(timing.split()[-1]) == SRC / "herdpulse" / "cli.py"
+    assert unloaded == str(sorted(UNUSED_BY_ANALYSIS))
+
+
+@pytest.mark.parametrize("preload", ["", "herdpulse.plot"])
+def test_bench_tracer_counts_the_rendered_points(tmp_path, preload):
+    # bench/tracer.py wraps render_scatter on the modules it lists, so plot looks it up on svgplot at each
+    # call: a copy bound by name when herdpulse.plot loaded before the wrappers would go untraced
+    tracer = str(REPO / "bench" / "tracer.py")
+    run = ["-c", f"import runpy, {preload}\nrunpy.run_path({tracer!r}, run_name='__main__')"] if preload else [tracer]
+    bundle, report = tmp_path / "bundle", tmp_path / "trace.json"
+    proc = _python(
+        *run, str(report), str(bundle), "--",
+        "--corpus", "demos/data/demo_tweets.jsonl", "--config", "demos/data/demo_config.json",
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(report.read_text(encoding="utf-8"))
+    assert (trace["analyze_exit"], trace["plot_exit"]) == (0, 0)
+    golden = sorted((REPO / "tests" / "goldens" / "demo_bundle").glob("*.svg"))
+    assert len(golden) == 5
+    assert trace["counts"]["svgplot.points"] == sum(svg.read_text(encoding="utf-8").count("<circle") for svg in golden)
+    assert trace["counts"]["svgplot.svg_bytes"] == sum(svg.stat().st_size for svg in golden)
+    assert trace["functions"]["svgplot.render_scatter"]["calls"] == 5
+    for svg in golden:
+        assert (bundle / svg.name).read_bytes() == svg.read_bytes(), svg.name
 
 
 @pytest.mark.parametrize("before", ["", "import herdpulse.config", "import herdpulse.preprocess", "import herdpulse"])
