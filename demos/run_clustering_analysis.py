@@ -17,7 +17,6 @@ records = load_corpora([DATA / "demo_tweets.jsonl"]).records
 stats = clustering_stats(build_graph(records))
 
 print(f"graph: {len(stats.degree)} authors, {stats.edges} interaction edges")
-print(f"triangles: {stats.triangles}, connected triples: {stats.triples}")
 
 # Local coefficient: the share of an author's neighbor pairs that interact
 # with each other. Degree < 2 scores 0 by convention.

@@ -156,11 +156,11 @@ def _json_reason(err: ValueError | RecursionError, text: str) -> str:
     return _OLDER_JSON_MESSAGES.get(err.msg, err.msg)
 
 
-def _parse_line(line: str, hours: set[str]) -> tuple[str, list[str], tuple, int]:
-    """Validate one non-blank line; returns (its tweet_id, its stored tags, the
-    fields of its record in ``TweetRecord`` order with lists for hashtags and
-    mentions, unknown-key count). ``hours`` holds the heads (``YYYY-MM-DD?HH:``)
-    of the stamps that passed in full so far; a new one is added."""
+def _parse_line(line: str, hours: set[str]) -> tuple[tuple, int]:
+    """Validate one non-blank line; returns (the fields of its record in
+    ``TweetRecord`` order with lists for hashtags and mentions, unknown-key
+    count). ``hours`` holds the heads (``YYYY-MM-DD?HH:``) of the stamps that
+    passed in full so far; a new one is added."""
     try:
         obj = _decode_json(line)
     except (ValueError, RecursionError) as err:
@@ -215,7 +215,7 @@ def _parse_line(line: str, hours: set[str]) -> tuple[str, list[str], tuple, int]
             for item in value if isinstance(value, list) else (value,):
                 if isinstance(item, str) and _SURROGATE.search(item):
                     raise ValueError(f"{name} contains a lone surrogate")
-    return tweet_id, hashtags, fields, unknown
+    return fields, unknown
 
 
 def _shared(fields: tuple, strings: dict[str, str]) -> TweetRecord:
@@ -271,17 +271,18 @@ def load_corpora(paths: list[str | Path], hashtag: str | None = None) -> LoadRes
                     continue
                 non_empty += 1
                 try:
-                    tweet_id, hashtags, fields, unknown = _parse_line(line, hours)
+                    fields, unknown = _parse_line(line, hours)
                 except ValueError as err:
                     invalid.append(LineError(line_no, str(err)))
                     continue
+                tweet_id = fields[0]
                 held = last_file.get(tweet_id)
                 if held == index:
                     invalid.append(LineError(line_no, f"duplicate tweet_id: {tweet_id!r}"))
                     continue
                 last_file[tweet_id] = index
                 unknown_keys += unknown
-                if held is None and (wanted is None or wanted in hashtags):
+                if held is None and (wanted is None or wanted in fields[3]):  # its stored tags
                     records.append(_shared(fields, strings))
 
         bad = len(invalid) - before

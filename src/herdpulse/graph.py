@@ -42,15 +42,14 @@ class SocialGraph:
 
 
 class ClusteringStats(NamedTuple):
-    """Every clustering measure of one graph, derived from one counting pass."""
+    """Every clustering measure of one graph, from one counting pass; its triangle
+    and triple totals are not kept, as only ``global_clustering`` reads them."""
 
     local: dict[str, float]
     mean_clustering: float
     global_clustering: float
     degree: dict[str, int]
     ck_curve: list[tuple[int, float]]
-    triangles: int
-    triples: int
     edges: int
 
 
@@ -97,8 +96,8 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
     corners are u and v, so each triangle is found once and credited to its
     three corners, in E intersections of sets of at most sqrt(2E) nodes. t_i
     is also the number of edges among i's neighbors: local C_i = 2 t_i /
-    (k (k - 1)), 0 below degree 2; triangles = sum(t_i) // 3; triples =
-    sum(k (k - 1) / 2); transitivity = 3 triangles / triples, 0 without
+    (k (k - 1)), 0 below degree 2; transitivity = 3 triangles / triples, with
+    triangles = sum(t_i) // 3 and triples = sum(k (k - 1) / 2), 0 without
     triples; edges = the summed out-set sizes. Each float comes from one final
     division of exact integers; mean clustering and C(k) (mean C_i per degree)
     are exact sums; an empty graph scores 0. ``degree`` is ``graph.degrees``.
@@ -131,8 +130,6 @@ def clustering_stats(graph: SocialGraph) -> ClusteringStats:
         global_clustering=3.0 * triangles / triples if triples else 0.0,
         degree=graph.degrees,
         ck_curve=[(k, math.fsum(vals) / len(vals)) for k, vals in sorted(by_degree.items())],
-        triangles=triangles,
-        triples=triples,
         edges=graph.edge_count(),
     )
 

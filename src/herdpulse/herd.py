@@ -24,7 +24,8 @@ DEFAULT_HERD_THRESHOLD = 0.0
 
 
 class AuthorProfile(NamedTuple):
-    author_id: str
+    """What the herd report reads of one author; ``profile_authors`` lists them in author id order."""
+
     mean_subjectivity: float
     local_clustering: float
 
@@ -76,7 +77,7 @@ class PredictionReport(NamedTuple):
 def profile_authors(
     scores: list[SentimentScore], records: Sequence[TweetRecord], local: dict[str, float]
 ) -> list[AuthorProfile]:
-    """One profile per author with at least one scored tweet, sorted by id.
+    """One profile per author with at least one scored tweet, in author id order.
 
     ``scores[i]`` is the score of ``records[i]``; lists of different lengths
     raise ``ValueError``. ``local`` maps graph nodes to their local clustering
@@ -89,7 +90,7 @@ def profile_authors(
         grouped.setdefault(record.author_id, []).append(score.subjectivity)
 
     return [
-        AuthorProfile(author, math.fsum(own) / len(own), local.get(author, 0.0))
+        AuthorProfile(math.fsum(own) / len(own), local.get(author, 0.0))
         for author, own in sorted(grouped.items())
     ]
 

@@ -29,9 +29,10 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     The file is read as every other input is: UTF-8, a leading BOM ignored; a
     NUL fails first, on 3.11+ as 3.10's csv fails it. Rows are transposed and
     each column converted and checked in bulk. A file that fails is read again
-    row by row to name a line: the first where a header cell holds what XML
-    1.0 cannot (the SVG shows it) or a cell cannot be read or converted, else
-    the first row of the wrong width or with a number that is not finite.
+    row by row to name a line of the file, where a quoted cell's line breaks
+    count: the first where a header cell holds what XML 1.0 cannot (the SVG
+    shows it) or a cell cannot be read or converted, else the last line of the
+    first row of the wrong width or with a number that is not finite.
     """
     text = _read_text(path)
     if "\0" in text:
@@ -51,14 +52,12 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
         header = next(reader, None)
         if bad := _NOT_XML.search("".join(header or "")):
             raise ValueError(f"header holds {bad.group()!r}, which XML 1.0 cannot")
-        rows = [[float(cell) for cell in row] for row in reader] if header else []
+        rows = [(reader.line_num, [float(cell) for cell in row]) for row in reader] if header else []
     except (ValueError, csv.Error) as err:
         raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     if not header:
         raise ValueError(f"{path}:1: no header")
-    number, row = next(
-        (n, row) for n, row in enumerate(rows, 2) if len(row) != len(header) or not all(map(math.isfinite, row))
-    )
+    number, row = next((n, row) for n, row in rows if len(row) != len(header) or not all(map(math.isfinite, row)))
     raise ValueError(f"{path}:{number}: expected {len(header)} finite numbers, got {row}")
 
 

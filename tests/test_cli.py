@@ -275,7 +275,7 @@ def test_analyze_non_ascii_stemmer_replacement_is_config_failure(tmp_path, capsy
 
 def test_analyze_prints_a_negative_zero_herd_index_as_zero(tmp_path, capsys, monkeypatch):
     # mean clustering 0.1 in the top band minus fsum(0.1, 0.2, 0.0) / 3 is -1.39e-17
-    profiles = [AuthorProfile("a", 0.9, 0.1), AuthorProfile("b", 0.1, 0.2), AuthorProfile("c", 0.1, 0.0)]
+    profiles = [AuthorProfile(0.9, 0.1), AuthorProfile(0.1, 0.2), AuthorProfile(0.1, 0.0)]
     monkeypatch.setattr(pipeline, "profile_authors", lambda *args: profiles)
     out_dir = tmp_path / "out"
     assert main(["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(out_dir)]) == 0
@@ -715,6 +715,14 @@ BAD_SERIES = {
         "2: could not convert string to float: 'abc'",
     ),
     "nan_in_middle": (b"index,a,b\n0,0.5,0.1\n1,nan,0.2\n", "3: expected 3 finite numbers, got [1.0, nan, 0.2]"),
+    # a quoted cell may hold a line break; the error names the line of the file, not the row's position
+    "short_row_after_two_line_header": (
+        b'"index\nnumber",polarity\n0,0.5\n1\n', "4: expected 2 finite numbers, got [1.0]"
+    ),
+    "text_after_two_line_header": (
+        b'"index\nnumber",polarity\n0,0.5\n1,abc\n', "4: could not convert string to float: 'abc'"
+    ),
+    "nan_after_two_line_cell": (b'index,polarity\n"0\n",0.5\n1,nan\n', "4: expected 2 finite numbers, got [1.0, nan]"),
     # a header cell is SVG text, so it holds only what XML 1.0 can
     "control_in_header": (b"index,pol\x01arity\n0,0.5\n", "1: header holds '\\x01', which XML 1.0 cannot"),
     "noncharacter_in_header": (b"index,\xef\xbf\xbe\n0,0.5\n", "1: header holds '\\ufffe', which XML 1.0 cannot"),

@@ -23,10 +23,6 @@ from .fixtures import clique_star_corpus
 from .oracles import reference_assign, reference_band, reference_predict
 
 
-def profile(author, subj, clustering):
-    return AuthorProfile(author_id=author, mean_subjectivity=subj, local_clustering=clustering)
-
-
 def score(tweet_id, polarity=0.0, subjectivity=0.5):
     if polarity > 0:
         label = POSITIVE
@@ -41,22 +37,20 @@ XY = {"X": frozenset({"partyx"}), "Y": frozenset({"partyy"})}
 
 
 def test_profile_authors_means():
+    # b posts first; the profiles come in author id order, a then b
     records = [
+        make_record(tweet_id="t3", author_id="b"),
         make_record(tweet_id="t1", author_id="a"),
         make_record(tweet_id="t2", author_id="a"),
-        make_record(tweet_id="t3", author_id="b"),
     ]
     graph = build_graph(records)
     scores = [
+        score("t3", polarity=-0.5, subjectivity=0.3),
         score("t1", polarity=0.2, subjectivity=0.4),
         score("t2", polarity=0.4, subjectivity=0.8),
-        score("t3", polarity=-0.5, subjectivity=0.3),
     ]
     profiles = profile_authors(scores, records, clustering_stats(graph).local)
-    assert [p.author_id for p in profiles] == ["a", "b"]
-    a, b = profiles
-    assert a.mean_subjectivity == pytest.approx(0.6)
-    assert b.mean_subjectivity == pytest.approx(0.3)
+    assert profiles == [AuthorProfile(pytest.approx(0.6), 0.0), AuthorProfile(pytest.approx(0.3), 0.0)]
 
 
 def test_profile_author_without_edges_gets_zero_clustering():
@@ -66,7 +60,7 @@ def test_profile_author_without_edges_gets_zero_clustering():
 
 
 def test_herd_report_equal_band_and_global_mean():
-    profiles = [profile(f"a{i}", 0.9, 1.0) for i in range(3)]
+    profiles = [AuthorProfile(0.9, 1.0)] * 3
     report = herd_report(profiles)
     assert report.herd_index == 0.0
     assert report.herd_flag is False
@@ -74,9 +68,9 @@ def test_herd_report_equal_band_and_global_mean():
 
 def test_herd_report_top_band_dominates():
     profiles = [
-        profile("a", 0.9, 1.0),
-        profile("b", 0.2, 0.0),
-        profile("c", 0.3, 0.0),
+        AuthorProfile(0.9, 1.0),
+        AuthorProfile(0.2, 0.0),
+        AuthorProfile(0.3, 0.0),
     ]
     report = herd_report(profiles)
     assert report.herd_index == pytest.approx(2 / 3)
@@ -86,21 +80,21 @@ def test_herd_report_top_band_dominates():
 
 
 def test_herd_report_empty_top_band():
-    profiles = [profile("a", 0.4, 1.0), profile("b", 0.6, 1.0)]
+    profiles = [AuthorProfile(0.4, 1.0), AuthorProfile(0.6, 1.0)]
     report = herd_report(profiles)
     assert report.herd_index == 0.0
     assert report.herd_flag is False
 
 
 def test_herd_report_integer_threshold_renders_as_fixed_point():
-    assert type(herd_report([profile("a", 0.9, 1.0)], threshold=0).threshold) is float
+    assert type(herd_report([AuthorProfile(0.9, 1.0)], threshold=0).threshold) is float
     config = load_config()._replace(herd_threshold=0)
     files = bundle_files(analyze_corpus(clique_star_corpus(), config))
     assert '"threshold": "0.000000"' in files["herd_report.json"]
 
 
 def test_herd_report_band_edges_validation():
-    profiles = [profile("a", 0.5, 0.5)]
+    profiles = [AuthorProfile(0.5, 0.5)]
     with pytest.raises(ValueError):
         herd_report(profiles, band_edges=(0.0, 0.5))  # must end at 1
     with pytest.raises(ValueError):
@@ -116,10 +110,10 @@ def test_herd_report_band_edges_validation():
 def test_herd_report_band_membership_boundaries():
     # bands are [low, high) except the last, which includes 1.0
     profiles = [
-        profile("a", 0.0, 0.0),
-        profile("b", 0.5, 0.0),
-        profile("c", 0.8, 0.0),
-        profile("d", 1.0, 0.0),
+        AuthorProfile(0.0, 0.0),
+        AuthorProfile(0.5, 0.0),
+        AuthorProfile(0.8, 0.0),
+        AuthorProfile(1.0, 0.0),
     ]
     report = herd_report(profiles)
     assert [band.count for band in report.bands] == [1, 1, 2]
@@ -139,7 +133,7 @@ def test_every_profile_lands_in_exactly_one_band(edges, subjs, clusterings, with
     # the manifest's profiled_authors is the band counts' sum. With every edge, 0 and 1 among the
     # mean subjectivities, each edge's band is tested; without them the top band may be empty
     values = [*edges, *subjs] if with_edges or not subjs else subjs
-    profiles = [profile(f"a{i}", s, clusterings[i % len(clusterings)]) for i, s in enumerate(values)]
+    profiles = [AuthorProfile(s, clusterings[i % len(clusterings)]) for i, s in enumerate(values)]
     report = herd_report(profiles, edges, threshold)
     groups = [[] for _ in edges[1:]]
     for p in profiles:
@@ -234,7 +228,7 @@ def make_assignments(mapping):
 
 
 def neutral_herd():
-    return herd_report([profile("a", 0.9, 0.5), profile("b", 0.1, 0.5)])
+    return herd_report([AuthorProfile(0.9, 0.5), AuthorProfile(0.1, 0.5)])
 
 
 def camp_scores(camp, pos, neg, neu, prefix):
@@ -316,8 +310,8 @@ def test_predict_camp_relabeling_symmetry():
 def test_predict_does_not_use_herd_index():
     sx, mx = camp_scores("X", 5, 1, 4, "x")
     sy, my = camp_scores("Y", 3, 3, 4, "y")
-    low = herd_report([profile("a", 0.9, 0.0), profile("b", 0.1, 0.0)])
-    high = herd_report([profile("a", 0.9, 1.0), profile("b", 0.1, 0.0)])
+    low = herd_report([AuthorProfile(0.9, 0.0), AuthorProfile(0.1, 0.0)])
+    high = herd_report([AuthorProfile(0.9, 1.0), AuthorProfile(0.1, 0.0)])
     with_low = predict(sx + sy, make_assignments({**mx, **my}), low)
     with_high = predict(sx + sy, make_assignments({**mx, **my}), high)
     assert [c.support for c in with_low.camps] == [c.support for c in with_high.camps]
@@ -331,9 +325,7 @@ def test_predict_does_not_use_herd_index():
     threshold=st.floats(min_value=-0.5, max_value=0.5),
 )
 def test_herd_index_bounds_and_flag_consistency(subjs, clusterings, threshold):
-    profiles = [
-        profile(f"a{i}", s, c) for i, (s, c) in enumerate(zip(subjs, clusterings))
-    ]
+    profiles = list(map(AuthorProfile, subjs, clusterings))
     report = herd_report(profiles, threshold=threshold)
     assert -1.0 <= report.herd_index <= 1.0
     if report.bands[-1].count > 0:

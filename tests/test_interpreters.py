@@ -6,14 +6,17 @@ and compares every bundle and SVG byte, exit code and output with the running
 interpreter. The inputs include the code points whose lowercase differs
 between those interpreters' Unicode versions, as tags, as ``--hashtag`` and as
 a camp keyword, and ``plot`` also runs on a hand-made bundle of edge values
-and on one of CSVs with a NUL or with a header XML cannot hold. Each
-interpreter also runs the loader oracle against the loader on the hostile
-corpus and lists the herdpulse modules that ``import herdpulse.cli`` loads.
-Only the running interpreter needs pytest.
+and on one of CSVs with a NUL or with a header XML cannot hold. ``analyze``
+and ``plot`` also run on a small seed of each benchmark workload, which
+``bench/gen.py`` writes, from the workload's directory with relative paths as
+the benchmark runs them. Each interpreter also runs the loader oracle against
+the loader on the hostile corpus and lists the herdpulse modules that
+``import herdpulse.cli`` loads. Only the running interpreter needs pytest.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -26,6 +29,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demos" / "data"
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+BENCH_WORKLOADS = ("text_zipf", "graph_hubs", "ingest_merge")
 # the 40 code points that str.lower() maps differently on 3.10 (Unicode 13.0) and 3.11-3.13 (14.0-15.1)
 CASE_SHIFTED = "\u2c2f\ua7c0\ua7d0\ua7d6\ua7d8" + "".join(
     chr(c) for c in range(0x10570, 0x10596) if c not in (0x1057B, 0x1058B, 0x10593)
@@ -155,25 +159,33 @@ def _run_all(python: str, inputs: Path, work: Path) -> dict:
     }
     seen = {}
 
-    def run(key, *args):
-        proc = subprocess.run([python, *args], capture_output=True, cwd=work, env=env, timeout=120)
+    def run(key, *args, cwd=work):
+        proc = subprocess.run([python, *args], capture_output=True, cwd=cwd, env=env, timeout=120)
         seen[key] = (proc.returncode, proc.stdout, proc.stderr)
+
+    def keep(label, out):
+        for path in sorted(out.iterdir()) if out.is_dir() else []:
+            seen[f"{label}/{path.name}"] = path.read_bytes()
 
     run("oracle", "-c", ORACLE_CHECK, str(small))
     run("cli modules", "-c", "import sys, herdpulse.cli; print(sorted(m for m in sys.modules if 'herdpulse' in m))")
     for label in ("bad", "hand"):
         run(f"{label} plot", "-m", "herdpulse.cli", "plot", str(inputs / label), "--out", label)
-        out = work / label
-        for path in sorted(out.iterdir()) if out.is_dir() else []:
-            seen[f"{label}/{path.name}"] = path.read_bytes()
+        keep(label, work / label)
     for label, corpus in corpora.items():
         run(f"{label} validate", "-m", "herdpulse.cli", "validate", "--corpus", str(corpus))
     for label, args in runs.items():
         run(f"{label} analyze", "-m", "herdpulse.cli", "analyze", *args, "--out", label)
         run(f"{label} plot", "-m", "herdpulse.cli", "plot", label)
-        out = work / label
-        for path in sorted(out.iterdir()) if out.is_dir() else []:
-            seen[f"{label}/{path.name}"] = path.read_bytes()
+        keep(label, work / label)
+    for label in BENCH_WORKLOADS:
+        workload = shutil.copytree(inputs / label, work / label)
+        truth = json.loads((workload / "truth.json").read_text(encoding="utf-8"))
+        args = [arg for name in truth["corpus_files"] for arg in ("--corpus", name)]
+        args += ["--config", truth["config"], "--hashtag", truth["hashtag"]]
+        run(f"{label} analyze", "-m", "herdpulse.cli", "analyze", *args, "--out", "bundle", cwd=workload)
+        run(f"{label} plot", "-m", "herdpulse.cli", "plot", "bundle", cwd=workload)
+        keep(label, workload / "bundle")
     return seen
 
 
@@ -191,6 +203,12 @@ def inputs(tmp_path_factory):
     _cased_config(directory / "cased.json")
     _hand_bundle(directory / "hand")
     _bad_bundle(directory / "bad")
+    # bench/gen.py, loaded by path: bench/ is no package, and sys.path stays as it is
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for label in BENCH_WORKLOADS:
+        gen.generate(label, 1, directory / label, scale=0.02)
     return directory
 
 
@@ -216,7 +234,7 @@ def test_every_interpreter_writes_the_same_bytes(version, inputs, reference):
 
 def test_reference_runs_cover_every_output(inputs, reference):
     _oracle_agrees(reference)
-    for label in ("demo", "small", "cased"):
+    for label in ("demo", "small", "cased", *BENCH_WORKLOADS):
         assert reference[f"{label} analyze"][0] == 0
     assert reference["small validate"][0] == 1
     stdout = reference["small validate"][1].decode("utf-8")
@@ -230,7 +248,7 @@ def test_reference_runs_cover_every_output(inputs, reference):
     assert cased["stage_counts"]["after_hashtag_filter"] == 2
     prediction = json.loads(reference["cased/prediction.json"])
     assert sorted(camp["camp_id"] for camp in prediction["camps"]) == ["Old", "X"]
-    for label in ("demo", "small", "cased"):
+    for label in ("demo", "small", "cased", *BENCH_WORKLOADS):
         names = {key.split("/", 1)[1] for key in reference if key.startswith(f"{label}/")}
         assert len(names) == 15 and sum(name.endswith(".svg") for name in names) == 5
     assert reference["hand plot"][0] == 0
