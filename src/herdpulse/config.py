@@ -12,8 +12,9 @@ Recognized keys (all optional unless noted):
   lexicon_path        sentiment lexicon (default: packaged demo lexicon)
                       whose every term must be able to equal a token and
                       must not be a negation word
-  reference_shares    object camp_id -> externally published vote share,
-                      echoed into the prediction report for comparison only
+  reference_shares    object camp_id -> externally published vote share, a
+                      non-negative decimal such as "47.9" or 47.9, echoed into
+                      the prediction report for comparison only
 
 Relative paths are resolved against the directory of the config file.
 """
@@ -21,15 +22,21 @@ Relative paths are resolved against the directory of the config file.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .corpus import _NEVER_MATCHES, _SURROGATE, _json_reason, _stored_tag
-from .herd import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
-from .inputs import ConfigError, _read_text
+from .inputs import _NEVER_MATCHES, _SURROGATE, ConfigError, _read_text, _stored_tag
 from .preprocess import StemmerRules, StemRule, preprocess_texts
-from .sentiment import Lexicon
+
+if TYPE_CHECKING:  # only scoring needs the sentiment module
+    from .sentiment import Lexicon
+
+DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
+DEFAULT_HERD_THRESHOLD = 0.0
+# a reference share as echoed; its text is matched, not read by Fraction(str), which on 3.11+ also reads "4_7"
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 class RunConfig(NamedTuple):
@@ -128,6 +135,16 @@ def _finite(value, message: str) -> float:
     return float(value)
 
 
+def check_band_edges(band_edges) -> tuple[float, ...]:
+    """Band edges as floats; raises ValueError unless they rise strictly from 0 to 1."""
+    edges = tuple(float(e) for e in band_edges)
+    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
+        raise ValueError("band edges must start at 0 and end at 1")
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("band edges must be strictly increasing")
+    return edges
+
+
 def check_utf8(key: str, texts) -> None:
     """Raise a ConfigError naming ``key`` when a text holds a lone surrogate, which UTF-8 cannot encode.
 
@@ -157,6 +174,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as err:
+            from .corpus import _json_reason  # the loader's wording; a config that parses never loads it
             raise ConfigError(f"{path}: not valid JSON ({_json_reason(err, text)})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -227,5 +245,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
                 _finite(share, f"reference_shares {camp_id!r} must be a string or a finite number")
         check_utf8("reference_shares", [*shares, *(s for s in shares.values() if isinstance(s, str))])
         config["reference_shares"] = {str(k): str(v) for k, v in shares.items()}
+        for camp_id, share in config["reference_shares"].items():
+            if not _DECIMAL.fullmatch(share):
+                raise ConfigError(f"reference_shares {camp_id!r} must be a non-negative decimal")
 
     return RunConfig(**config)

@@ -19,7 +19,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import CorpusFormatError
+from .inputs import _NEVER_MATCHES, _SURROGATE, CorpusFormatError, _stored_tag
 
 
 REQUIRED_KEYS = (
@@ -44,12 +44,6 @@ _OLDER_JSON_MESSAGES = {
     "Illegal trailing comma before end of object": "Expecting property name enclosed in double quotes",
     "Illegal trailing comma before end of array": "Expecting value",
 }
-_BAD_HASHTAG_CHAR = re.compile(r"[#\s]")  # '#' or a char for which str.isspace() holds
-# Unicode case mappings change between interpreter versions (3.10 lowercases
-# U+2C2F to itself, 3.11 to U+2C5F), so a tag folds A-Z and nothing else
-_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
-_NEVER_MATCHES = "hashtag can never match: {!r}"
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # RFC 3339 date-time or a bare date. Checked before fromisoformat, which on 3.11
 # also reads week, ordinal and basic-format dates; on 3.10 it reads a fraction
 # only of 3 or 6 digits, so the fraction is dropped before it is called. Each
@@ -121,13 +115,6 @@ def _decode_json(line: str):
     if line[end:].lstrip(_JSON_SPACE):
         raise json.JSONDecodeError("Extra data", line, end)
     return obj
-
-
-def _stored_tag(text: str) -> str | None:
-    """``text`` as a tag is stored (leading '#'s stripped, A-Z lowercased), or None if no stored tag can equal it."""
-    tag = text.lstrip("#")
-    tag = tag.lower() if tag.isascii() else tag.translate(_ASCII_LOWER)
-    return tag if tag and not _BAD_HASHTAG_CHAR.search(tag) else None
 
 
 def _parse_hashtags(value) -> list[str]:

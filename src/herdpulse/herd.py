@@ -16,11 +16,9 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
+from .config import DEFAULT_BAND_EDGES, DEFAULT_HERD_THRESHOLD, check_band_edges
 from .corpus import TweetRecord
 from .sentiment import SentimentScore, summarize
-
-DEFAULT_BAND_EDGES = (0.0, 0.5, 0.8, 1.0)
-DEFAULT_HERD_THRESHOLD = 0.0
 
 
 class AuthorProfile(NamedTuple):
@@ -93,16 +91,6 @@ def profile_authors(
         AuthorProfile(math.fsum(own) / len(own), local.get(author, 0.0))
         for author, own in sorted(grouped.items())
     ]
-
-
-def check_band_edges(band_edges) -> tuple[float, ...]:
-    """Band edges as floats; raises ValueError unless they rise strictly from 0 to 1."""
-    edges = tuple(float(e) for e in band_edges)
-    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0:
-        raise ValueError("band edges must start at 0 and end at 1")
-    if not all(a < b for a, b in zip(edges, edges[1:])):
-        raise ValueError("band edges must be strictly increasing")
-    return edges
 
 
 def herd_report(

@@ -152,6 +152,15 @@ def test_analyze_config_string_with_lone_surrogate_is_config_failure(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_share_that_is_no_decimal_is_config_failure(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference_shares": {"X": "abc", "Z": 1e300}}), encoding="utf-8")
+    code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: reference_shares 'X' must be a non-negative decimal\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_empty_config_path_is_config_failure(tmp_path, capsys):
     code = main(["analyze", "--corpus", DEMO_CORPUS, "--config", "", "--out", str(tmp_path / "out")])
     assert code == 2

@@ -114,6 +114,12 @@ BIG = 10**400  # a JSON integer that overflows a float
 EDGES_ERROR = "band_edges must be an array of finite numbers"
 THRESHOLD_ERROR = "herd_threshold must be a finite number"
 SHARE_ERROR = "reference_shares 'X' must be a string or a finite number"
+DECIMAL_ERROR = "reference_shares 'X' must be a non-negative decimal"
+# the echoed text (a number's str()) must be ASCII digits with an optional fraction; "4_7" is
+# rejected everywhere, although Fraction reads it on 3.11+
+NOT_DECIMAL = [
+    "abc", "47.9%", "", " 47.9", "-1", "+1", "1.", ".5", "4_7", "1e3", "\u0664\u0667", "inf", -1, -0.0, 1e300, 1e16, 1e-7
+]
 
 
 @pytest.mark.parametrize(
@@ -132,6 +138,7 @@ SHARE_ERROR = "reference_shares 'X' must be a string or a finite number"
         ({"reference_shares": {"X": [47.9]}}, SHARE_ERROR),
         ({"reference_shares": {"X": {"a": [1, 2]}}}, SHARE_ERROR),
         ({"reference_shares": {"X": float("nan")}}, SHARE_ERROR),
+        *(({"reference_shares": {"Y": "38.1", "X": share}}, DECIMAL_ERROR) for share in NOT_DECIMAL),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, raw, message):
@@ -143,9 +150,10 @@ def test_bad_config_values_are_config_errors(tmp_path, raw, message):
 
 
 def test_reference_shares_keep_strings_and_render_numbers(tmp_path):
+    # a share may name a camp the config does not define (here none is defined)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"reference_shares": {"X": "47.9%", "Y": 38.1, "Z": 12}}), encoding="utf-8")
-    assert load_config(path).reference_shares == {"X": "47.9%", "Y": "38.1", "Z": "12"}
+    path.write_text(json.dumps({"reference_shares": {"X": "047.90", "Y": 38.1, "Z": 12}}), encoding="utf-8")
+    assert load_config(path).reference_shares == {"X": "047.90", "Y": "38.1", "Z": "12"}
 
 
 # every line break str.splitlines() honours besides LF and CRLF

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from herdpulse import build_graph, clustering_stats, load_config, preprocess, score_tokens
+from herdpulse.config import DEFAULT_BAND_EDGES
 from herdpulse.herd import (
-    DEFAULT_BAND_EDGES,
     AuthorProfile,
     CampAssignments,
     assign_corpus,

@@ -10,8 +10,10 @@ and on one of CSVs with a NUL or with a header XML cannot hold. ``analyze``
 and ``plot`` also run on a small seed of each benchmark workload, which
 ``bench/gen.py`` writes, from the workload's directory with relative paths as
 the benchmark runs them. Each interpreter also runs the loader oracle against
-the loader on the hostile corpus and lists the herdpulse modules that
-``import herdpulse.cli`` loads. Only the running interpreter needs pytest.
+the loader on the hostile corpus, lists the herdpulse modules that
+``import herdpulse.cli`` loads, and lists those and ``json`` and ``datetime``
+that the benchmark's setup code (that import and ``load_config``) loads. Only
+the running interpreter needs pytest.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ from tests.oracles import reference_load_lines
 records, errors, _ = reference_load_lines(Path(sys.argv[1]).read_bytes().decode("utf-8").split("\\n"))
 result = load_corpora([sys.argv[1]])
 print(json.dumps([errors, len(records), [list(e) for e in result.invalid], len(result.records)]))
+"""
+
+
+# the benchmark's setup code; prints the herdpulse modules, json and datetime that it left loaded
+SETUP_MODULES = """
+import sys, herdpulse.cli
+herdpulse.config.load_config(sys.argv[1])
+print(sorted(m for m in sys.modules if "herdpulse" in m or m in ("json", "datetime")))
 """
 
 
@@ -169,6 +179,7 @@ def _run_all(python: str, inputs: Path, work: Path) -> dict:
 
     run("oracle", "-c", ORACLE_CHECK, str(small))
     run("cli modules", "-c", "import sys, herdpulse.cli; print(sorted(m for m in sys.modules if 'herdpulse' in m))")
+    run("setup modules", "-c", SETUP_MODULES, str(DEMO / "demo_config.json"))
     for label in ("bad", "hand"):
         run(f"{label} plot", "-m", "herdpulse.cli", "plot", str(inputs / label), "--out", label)
         keep(label, work / label)
@@ -254,6 +265,10 @@ def test_reference_runs_cover_every_output(inputs, reference):
     assert reference["hand plot"][0] == 0
     assert reference["cli modules"][1].decode("ascii").split() == [
         "['herdpulse',", "'herdpulse.cli',", "'herdpulse.inputs',", "'herdpulse.preprocess']"
+    ]
+    assert reference["setup modules"][1].decode("ascii").split() == [
+        "['herdpulse',", "'herdpulse.cli',", "'herdpulse.config',", "'herdpulse.inputs',", "'herdpulse.preprocess',",
+        "'json']",
     ]
     bad = [line.split(".csv:", 1)[1] for line in reference["bad plot"][2].decode("utf-8").splitlines()]
     assert reference["bad plot"][:2] == (1, b"") and not any(key.startswith("bad/") for key in reference)

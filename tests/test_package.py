@@ -44,11 +44,23 @@ UNUSED_BY_PLOT = (
 )
 # none is needed to check, score or analyze a corpus, or by the benchmark's setup code
 UNUSED_BY_ANALYSIS = ("herdpulse.svgplot", "herdpulse.plot", "csv")
+# none is needed to load a config: the loader, the graph, the reports and the scoring stay unloaded
+UNUSED_BY_CONFIG = (
+    "herdpulse.corpus", "herdpulse.herd", "herdpulse.sentiment", "herdpulse.graph", "herdpulse.pipeline",
+    "datetime", "hashlib",
+)
 # prints the exit code of main(argv[2:]) and which modules of the comma-separated argv[1] it left unloaded
 RUN_AND_LIST = """
 import sys, herdpulse.cli
 code = herdpulse.cli.main(sys.argv[2:])
 print(code, sorted(m for m in sys.argv[1].split(",") if m not in sys.modules))
+"""
+# loads the config in argv[2] as the benchmark's setup code does; prints its camp ids and which
+# modules of the comma-separated argv[1] it left unloaded
+LOAD_AND_LIST = """
+import sys, herdpulse.cli
+config = herdpulse.config.load_config(sys.argv[2])
+print(sorted(config.camps), sorted(m for m in sys.argv[1].split(",") if m not in sys.modules))
 """
 
 
@@ -221,6 +233,16 @@ def test_validate_loads_the_loader_only():
     proc = _python("-c", RUN_AND_LIST, ",".join(modules), "validate", "--corpus", corpus, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 ['hashlib', 'herdpulse.config', 'herdpulse.pipeline']"
+
+
+def test_loading_a_config_loads_neither_the_loader_nor_the_reports(tmp_path):
+    # the benchmark's setup code, on a config that sets every knob the herd report and the camps read
+    config = tmp_path / "config.json"
+    raw = {"band_edges": [0, 0.4, 1], "herd_threshold": 0.1, "camps": {"X": ["partyx"], "Y": ["partyy"]}}
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    proc = _python("-c", LOAD_AND_LIST, ",".join(UNUSED_BY_CONFIG), str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"['X', 'Y'] {sorted(UNUSED_BY_CONFIG)}"
 
 
 @pytest.mark.parametrize("command", ["validate", "score", "analyze"])
