@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 1 data/validation failure, 2 I/O or config failure.
 A command imports the modules it runs in its own body; ``plot`` runs ``herdpulse.plot``.
+``run`` is the process entry (``python -m herdpulse.cli`` and the ``herdpulse`` script); ``main``
+runs one command in process and returns its exit code.
 """
 
 import argparse
 import gc
+import os
+import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .inputs import EXIT_DATA, EXIT_IO, EXIT_OK, ConfigError, CorpusFormatError, _fail
 
@@ -126,24 +131,47 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a config or I/O failure exits 2, an unusable corpus file 1.
 
-    The command runs with the cyclic collector off, as a run makes no cycle per
-    record; the caller's collector state comes back however the command ends.
+    Standard output is flushed however the command ends, so a failed write of
+    it is an I/O failure too. The command runs with the cyclic collector off,
+    as a run makes no cycle per record; the caller's collector state comes
+    back however the command ends.
     """
     args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
     except (ConfigError, OSError) as err:
         _fail(str(err))
-        return EXIT_IO
+        status = EXIT_IO
     except CorpusFormatError as err:
         _fail(str(err))
-        return EXIT_DATA
+        status = EXIT_DATA
     finally:
         if collecting:
             gc.enable()
+    if sys.stdout is not None:  # None when the process started with its standard output closed
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            _fail(str(err))
+            status = EXIT_IO
+    return status
+
+
+def run() -> NoReturn:
+    """The process entry: ``main()``, then the process ends with its exit code and without teardown.
+
+    Every file a command writes is closed and standard output flushed before
+    ``main`` returns, so ``os._exit`` loses nothing; it skips the interpreter's
+    teardown, and with it a second try to flush an output whose write failed.
+    argparse's own exits (usage errors, ``--help``) leave through ``SystemExit`` as before.
+    """
+    status = main()
+    if sys.stderr is not None:  # None when the process started with its standard error closed
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

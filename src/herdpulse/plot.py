@@ -6,7 +6,6 @@ import csv
 import io
 import math
 import re
-from itertools import chain
 from pathlib import Path
 
 from . import svgplot
@@ -23,16 +22,19 @@ PLOT_SERIES = {
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # XML 1.0 cannot hold these; UTF-8 gives no surrogate
 
 
-def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
+def _read_series_csv(path: Path, converted: dict[tuple[str, ...], list[float]]) -> tuple[list[str], list[list[float]]]:
     """Header and columns of finite numbers; raises ValueError as ``path:line: reason``.
 
     The file is read as every other input is: UTF-8, a leading BOM ignored; a
     NUL fails first, on 3.11+ as 3.10's csv fails it. Rows are transposed and
-    each column converted and checked in bulk. A file that fails is read again
-    row by row to name a line of the file, where a quoted cell's line breaks
-    count: the first where a header cell holds what XML 1.0 cannot (the SVG
-    shows it) or a cell cannot be read or converted, else the last line of the
-    first row of the wrong width or with a number that is not finite.
+    each column converted and checked in bulk. ``converted`` maps a column's
+    cells, header cell first, to its numbers once they are checked finite; a
+    caller passes one dict to all the files it reads, and each distinct column
+    is converted once. A file that fails is read again row by row to name a
+    line of the file, where a quoted cell's line breaks count: the first where
+    a header cell holds what XML 1.0 cannot (the SVG shows it) or a cell cannot
+    be read or converted, else the last line of the first row of the wrong
+    width or with a number that is not finite.
     """
     text = _read_text(path)
     if "\0" in text:
@@ -41,9 +43,15 @@ def _read_series_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         if rows and rows[0] and set(map(len, rows)) == {len(rows[0])} and not _NOT_XML.search("".join(rows[0])):
-            # each column starts with its header cell
-            columns = [list(map(float, column[1:])) for column in zip(*rows)]
-            if all(map(math.isfinite, chain.from_iterable(columns))):
+            columns = []
+            for column in zip(*rows):  # each column starts with its header cell
+                if (values := converted.get(column)) is None:
+                    values = list(map(float, column[1:]))
+                    if not all(map(math.isfinite, values)):
+                        break
+                    converted[column] = values
+                columns.append(values)
+            else:
                 return rows[0], columns
     except (ValueError, csv.Error):  # csv.Error: a cell past csv's field size limit
         pass
@@ -70,7 +78,9 @@ def plot_bundle(bundle_dir: str, out_dir: str | None) -> int:
     out = Path(out_dir) if out_dir else bundle
 
     status = EXIT_OK
-    placed = {}  # the series CSVs share their index column, ck_curve and degree_distribution their degrees
+    # the series CSVs share their index column, ck_curve and degree_distribution their degrees,
+    # and combined_series its two value columns with the other two series
+    placed, converted = {}, {}
     for name, (title, x_label, y_label) in PLOT_SERIES.items():
         source = bundle / name
         if not source.exists():
@@ -78,7 +88,7 @@ def plot_bundle(bundle_dir: str, out_dir: str | None) -> int:
             status = EXIT_DATA
             continue
         try:
-            header, columns = _read_series_csv(source)
+            header, columns = _read_series_csv(source, converted)
         except ValueError as err:
             _fail(str(err))
             status = EXIT_DATA

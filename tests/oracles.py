@@ -6,15 +6,16 @@ module imports nothing from ``herdpulse``. Graphs are edge lists, read here
 as a plain ``node -> neighbors`` dict that :func:`adjacency` builds. The text
 references are the plain loops the library's stemmer and ``normalize``
 shortcut: no memo, no suffix grouping, no regex, no early stop, and one text
-at a time where the library cleans texts in batches. The ingestion
-reference restates the per-line rules with ``json.loads`` and plain field
-checks, reads timestamps by hand instead of with ``fromisoformat``, loads
-several files the old way (each file whole, then merge, then filter), and
-shares no helper with ``herdpulse.corpus``. The herd references test each
-band edge by hand, assign camps by counting each camp's keywords among a
-tweet's words, and rank camps by counting the camps ahead of each. The
-plot reference places and formats every point on its own, from
-``(x, y)`` pairs per series.
+at a time where the library cleans texts in batches. The score reference sums
+a tweet's contributions exactly, as fractions, where the library uses
+``math.fsum``. The ingestion reference restates the per-line rules with
+``json.loads`` and plain field checks, reads timestamps by hand instead of
+with ``fromisoformat``, loads several files the old way (each file whole,
+then merge, then filter), and shares no helper with ``herdpulse.corpus``.
+The herd references test each band edge by hand, assign camps by counting
+each camp's keywords among a tweet's words, and rank camps by counting the
+camps ahead of each. The plot reference places and formats every point on
+its own, from ``(x, y)`` pairs per series.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import random
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from itertools import combinations
 
 Edge = tuple[str, str]
@@ -167,6 +169,34 @@ def reference_tokens(text: str, stopwords, table: list[tuple[str, str, int]]) ->
             if stem and stem not in stopwords:
                 tokens.append(stem)
     return tuple(tokens)
+
+
+def reference_score(tokens, lexicon: dict[str, tuple[float, float]], negations) -> tuple[float, float, str, int]:
+    """(polarity, subjectivity, label, hits) of one tweet's tokens, hit by hit.
+
+    A hit's polarity is flipped when the token right before it is a negation
+    word: it contributes -1/2 times its polarity, rounded to a float as every
+    contribution is a float (exact unless the polarity is subnormal). Each
+    measure's contributions are summed exactly as ``Fraction``s, the sum is
+    rounded once to a float, and that float is divided by the number of hits;
+    polarity is then clamped to [-1, 1]. No hit scores (0.0, 0.0, "NEUTRAL", 0).
+    """
+    polarity_sum = subjectivity_sum = Fraction(0)
+    hits = 0
+    for index, token in enumerate(tokens):
+        if token not in lexicon:
+            continue
+        polarity, subjectivity = lexicon[token]
+        if index > 0 and tokens[index - 1] in negations:
+            polarity = float(Fraction(polarity) * Fraction(-1, 2))
+        polarity_sum += Fraction(polarity)
+        subjectivity_sum += Fraction(subjectivity)
+        hits += 1
+    if not hits:
+        return 0.0, 0.0, "NEUTRAL", 0
+    polarity = min(1.0, max(-1.0, float(polarity_sum) / hits))
+    label = "POSITIVE" if polarity > 0 else "NEGATIVE" if polarity < 0 else "NEUTRAL"
+    return polarity, float(subjectivity_sum) / hits, label, hits
 
 
 CORPUS_KEYS = (

@@ -11,12 +11,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from herdpulse import cli, pipeline, svgplot
 from herdpulse.cli import main
@@ -447,6 +448,29 @@ def test_analyze_hashtag_filter(tmp_path):
     assert manifest["stage_counts"]["after_hashtag_filter"] == 9
 
 
+def _demo_bundle_bytes(out: Path, hashtag: str) -> dict[str, bytes]:
+    argv = ["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--hashtag", hashtag, "--out", str(out)]
+    assert main(argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_hashtag_spelling_changes_no_byte_of_the_bundle(tmp_path):
+    # MR5: --hashtag is compared as a stored tag, so its case and leading '#'s reach no output, manifest included
+    bundles = [_demo_bundle_bytes(tmp_path / tag, tag) for tag in ("partyx", "#PARTYX", "##partyx", "PartyX")]
+    assert sorted(bundles[0]) == sorted(BUNDLE_NAMES)
+    assert json.loads(bundles[0]["manifest.json"])["stage_counts"]["after_hashtag_filter"] == 9
+    for bundle in bundles[1:]:
+        assert bundle == bundles[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(upper=st.lists(st.booleans(), min_size=len("partyx"), max_size=len("partyx")), hashes=st.integers(0, 4))
+def test_hashtag_case_and_leading_hashes_change_no_byte_of_the_bundle(upper, hashes):
+    spelling = "#" * hashes + "".join(c.upper() if up else c for c, up in zip("partyx", upper))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _demo_bundle_bytes(Path(tmp, "drawn"), spelling) == _demo_bundle_bytes(Path(tmp, "plain"), "partyx")
+
+
 def test_analyze_without_camps_marks_no_camp_signal(tmp_path, capsys):
     lines = [record_line(tweet_id=f"t{i}", text="good day") for i in range(3)]
     corpus = write_corpus(tmp_path, lines)
@@ -643,6 +667,27 @@ def test_plot_places_each_x_column_once(tmp_path, monkeypatch):
     assert Counter(placed) == {x_column("combined_series.csv"): 1, x_column("ck_curve.csv"): 1}
     for svg in golden.glob("*.svg"):
         assert (tmp_path / svg.name).read_bytes() == svg.read_bytes(), svg.name
+
+
+def test_plot_converts_a_column_by_its_cells_not_its_header(tmp_path):
+    # combined_series' subjectivity column shares its header with subjectivity_series' but now not its cells
+    bundle, alone, out = tmp_path / "bundle", tmp_path / "alone", tmp_path / "svg"
+    shutil.copytree(GOLDEN_BUNDLE, bundle)
+    combined = bundle / "combined_series.csv"
+    text = combined.read_text(encoding="utf-8")
+    assert text.startswith("index,subjectivity,polarity\n0,0.500000,0.440000\n")
+    combined.write_text(text.replace("0,0.500000,", "0,0.100000,", 1), encoding="utf-8")
+    alone.mkdir()
+    shutil.copy(combined, alone)
+    assert main(["plot", str(alone)]) == 1  # the other four CSVs are missing
+    assert main(["plot", str(bundle), "--out", str(out)]) == 0
+    changed = (out / "combined_series.svg").read_bytes()
+    assert changed == (alone / "combined_series.svg").read_bytes()
+    assert changed != (Path(GOLDEN_BUNDLE) / "combined_series.svg").read_bytes()
+    for name in PLOT_SERIES:
+        svg = name.replace(".csv", ".svg")
+        if svg != "combined_series.svg":
+            assert (out / svg).read_bytes() == (Path(GOLDEN_BUNDLE) / svg).read_bytes(), svg
 
 
 def test_plot_rerun_byte_identical(tmp_path):
@@ -857,14 +902,106 @@ def test_failed_kth_write_keeps_the_old_bundle(tmp_path, monkeypatch, capsys, k)
     assert _tree_bytes(out) == before
 
 
-def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "herdpulse.cli", "validate", "--corpus", DEMO_CORPUS],
-        capture_output=True,
-        text=True,
-    )
+MODULE_ENTRY = ("-m", "herdpulse.cli")
+# what the console script that pyproject.toml declares runs
+SCRIPT_ENTRY = ("-c", "import sys\nfrom herdpulse.cli import run\nsys.exit(run())")
+
+
+def _cli_process(command: list[str], stdout=None) -> subprocess.CompletedProcess:
+    """``command`` with its stdout on ``stdout`` and this checkout's package, buffered as from a shell:
+    ``PYTHONUNBUFFERED`` unset."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+
+
+def _demo_argv(command: str, tmp_path: Path) -> list[str]:
+    if command == "validate":
+        return ["validate", "--corpus", DEMO_CORPUS]
+    if command == "analyze":
+        return ["analyze", "--corpus", DEMO_CORPUS, "--config", DEMO_CONFIG, "--out", str(tmp_path / "bundle")]
+    return ["plot", GOLDEN_BUNDLE, "--out", str(tmp_path / "svg")]
+
+
+def test_module_entry_point_subprocess(tmp_path, capsys):
+    # the process ends with os._exit once main returns: the output it buffered on a pipe must all be there
+    for command in ("validate", "analyze", "plot"):
+        argv = _demo_argv(command, tmp_path)
+        code = main(argv)
+        printed = capsys.readouterr()
+        proc = _cli_process([sys.executable, *MODULE_ENTRY, *argv], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err), command
+        assert code == 0 and printed.out, command
+        if command == "validate":
+            assert "24 valid, 0 invalid" in proc.stdout
+
+
+def test_herdpulse_script_is_the_process_entry(tmp_path, capsys):
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'herdpulse = "herdpulse.cli:run"'
+    argv = _demo_argv("validate", tmp_path)
+    assert main(argv) == 0
+    proc = _cli_process([sys.executable, *SCRIPT_ENTRY, *argv], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_closed_stdout_prints_nothing_and_succeeds(tmp_path):
+    # a process started with fd 1 closed has no sys.stdout: print() drops the text, and main must not flush it
+    argv = _demo_argv("validate", tmp_path)
+    proc = _cli_process(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *MODULE_ENTRY, *argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_closed_stderr_succeeds(tmp_path):
+    # fd 2 closed: sys.stderr is None, and run must not flush it
+    argv = _demo_argv("validate", tmp_path)
+    proc = _cli_process(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, *MODULE_ENTRY, *argv], subprocess.PIPE)
     assert proc.returncode == 0
     assert "24 valid, 0 invalid" in proc.stdout
+
+
+def _fails_after_printing(command: str, tmp_path: Path) -> list[str]:
+    if command == "validate":  # the demo's summary line, then the second corpus is missing
+        return ["validate", "--corpus", DEMO_CORPUS, "--corpus", str(tmp_path / "missing.jsonl")]
+    last_svg = tmp_path / "svg" / (list(PLOT_SERIES)[-1][: -len(".csv")] + ".svg")
+    last_svg.mkdir(parents=True)  # four "wrote" lines, then the last SVG cannot be written
+    return ["plot", GOLDEN_BUNDLE, "--out", str(tmp_path / "svg")]
+
+
+@pytest.mark.parametrize("entry", [MODULE_ENTRY, SCRIPT_ENTRY], ids=["module", "script"])
+@pytest.mark.parametrize("command", ["validate", "plot"])
+def test_output_printed_before_a_failure_is_kept(tmp_path, capsys, command, entry):
+    # a command that prints and then fails with exit 2 still has its output flushed before os._exit
+    argv = _fails_after_printing(command, tmp_path)
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert code == 2 and printed.out and printed.err.startswith("error: ")
+    proc = _cli_process([sys.executable, *entry, *argv], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+
+
+def _unwritable(sink: str):
+    """A binary file object whose writes fail: ``/dev/full``, or a pipe whose read end is closed."""
+    if sink == "dev_full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return open("/dev/full", "wb")
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb")
+
+
+@pytest.mark.parametrize("entry", [MODULE_ENTRY, SCRIPT_ENTRY], ids=["module", "script"])
+@pytest.mark.parametrize("sink, code", [("dev_full", errno.ENOSPC), ("closed_pipe", errno.EPIPE)])
+@pytest.mark.parametrize("command", ["validate", "analyze", "plot"])
+def test_unwritable_stdout_is_an_io_failure(tmp_path, command, sink, code, entry):
+    # with ordinary buffering the output is written when main flushes it, and the failure is reported there;
+    # the interpreter's teardown must not try again and exit 120 with "Exception ignored"
+    with _unwritable(sink) as stdout:
+        proc = _cli_process([sys.executable, *entry, *_demo_argv(command, tmp_path)], stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {code}] {os.strerror(code)}\n"
 
 
 def test_plot_empty_series_renders_axes(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from herdpulse import score_tokens, summarize
 from herdpulse.config import ConfigError, load_lexicon
@@ -14,6 +14,8 @@ from herdpulse.sentiment import (
     SentimentScore,
     truncate_percent,
 )
+
+from .oracles import reference_score
 
 NEGATIONS = frozenset({"not", "no", "never", "neither", "nor"})
 
@@ -138,6 +140,27 @@ def test_tokens_without_a_lexicon_term_score_exactly_neutral(tokens, lexicon):
     score = score_tokens("t1", misses, lexicon, NEGATIONS)
     assert score == SentimentScore("t1", 0.0, 0.0, NEUTRAL, 0)
     assert math.copysign(1.0, score.polarity) == math.copysign(1.0, score.subjectivity) == 1.0
+
+
+ORACLE_TERMS = ["good", "bad", "great", "awful", "meh"]
+ORACLE_NEGATIONS = frozenset({"not", "never", "no"})
+ORACLE_VOCABULARY = [*ORACLE_TERMS, *sorted(ORACLE_NEGATIONS), "the", "vote", "zzz", "rally"]
+
+
+@given(
+    tokens=st.lists(st.sampled_from(ORACLE_VOCABULARY), max_size=30),
+    values=st.lists(
+        st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=len(ORACLE_TERMS),
+        max_size=len(ORACLE_TERMS),
+    ),
+)
+@example(tokens=["good", "no", "good"], values=[(1.5e-323, 0.0)] * len(ORACLE_TERMS))  # a flip that rounds
+def test_score_equals_the_exact_sum_reference(tokens, values):
+    lexicon = dict(zip(ORACLE_TERMS, values))
+    score = score_tokens("t1", tokens, lexicon, ORACLE_NEGATIONS)
+    # exact float equality: the sum is rounded once, then divided by the hit count
+    assert score[1:] == reference_score(tokens, lexicon, ORACLE_NEGATIONS)
 
 
 @given(tokens=st.lists(st.sampled_from(["good", "bad", "meh", "zzz"]), max_size=20))
